@@ -2,7 +2,7 @@
 
 Every command writes a deterministic CSV (17-significant-digit floats, comma
 separated, LF line endings) plus a ``<out>.meta`` sidecar recording the
-configuration, seed, library version, and wall-clock time; only the sidecar
+command's options, seed, library version, and wall-clock time; only the sidecar
 carries timing, so repeated runs with the same config and seed are
 byte-identical.  Exit status is 0 on success, 2 when the requested parameters
 violate a precondition (e.g. a bin count below the validity threshold), and 1
@@ -11,7 +11,7 @@ standard error: ``error: <kind>: <detail>``.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE``); explicit command-line flags override file values.
-The worker pool for trial batches is capped by ENTROBOUND_THREADS.
+The ``coverage`` worker pool is sized by ``--threads``, else ENTROBOUND_THREADS.
 """
 from __future__ import annotations
 
@@ -90,16 +90,7 @@ class ExperimentConfig:
     threads: int | None = None
 
     def to_text(self) -> str:
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None:
-                continue
-            if isinstance(value, float):
-                lines.append(f"{f.name} = {value:.17g}")
-            else:
-                lines.append(f"{f.name} = {value}")
-        return "\n".join(lines) + "\n"
+        return _config_text(self, [f.name for f in fields(self)])
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
@@ -107,6 +98,19 @@ class ExperimentConfig:
 
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def _config_text(config: ExperimentConfig, names) -> str:
+    lines = []
+    for name in names:
+        value = getattr(config, name)
+        if value is None:
+            continue
+        if isinstance(value, float):
+            lines.append(f"{name} = {value:.17g}")
+        else:
+            lines.append(f"{name} = {value}")
+    return "\n".join(lines) + "\n"
 
 
 def _coerce(name: str, raw: str):
@@ -231,7 +235,8 @@ def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_meta(out_path, config: ExperimentConfig, wall_time: float) -> None:
-    meta = config.to_text() + f"version = {__version__}\nwall_time_s = {wall_time:.6f}\n"
+    meta = _config_text(config, ("command",) + _COMMANDS[config.command][1])
+    meta += f"version = {__version__}\nwall_time_s = {wall_time:.6f}\n"
     Path(str(out_path) + ".meta").write_text(meta, encoding="utf-8")
 
 
@@ -544,6 +549,25 @@ _HANDLERS = {
     "verify-lemmas": _cmd_verify_lemmas,
 }
 
+_DEMO_OPTIONS = ("c", "delta", "n", "trials", "seed", "estimator", "out")
+# command -> (help, options it accepts besides --config); the .meta sidecar
+# records exactly these options.
+_COMMANDS = {
+    "bound": ("evaluate the confidence bound", ("k", "l", "m", "n", "delta", "out", "seed")),
+    "optimize-m": ("bound-minimizing bin count", ("k", "l", "n", "delta", "out", "seed")),
+    "estimate": ("certified entropy estimate",
+                 ("density", "input", "format", "k", "l", "m", "n", "delta", "seed", "out")),
+    "mi-estimate": ("certified mutual-information estimate",
+                    ("density", "input", "format", "k1", "k2", "l", "n", "delta", "seed", "out")),
+    "coverage": ("empirical coverage experiment",
+                 ("density", "k", "l", "m", "n", "delta", "trials", "seed", "out", "threads")),
+    "prop1-demo": ("adversarial demonstration: prop1-demo", _DEMO_OPTIONS),
+    "mi-demo": ("adversarial demonstration: mi-demo", _DEMO_OPTIONS),
+    "kl-demo": ("adversarial demonstration: kl-demo", _DEMO_OPTIONS),
+    "verify-lemmas": ("numerical checks of the supporting inequalities",
+                      ("k", "m_list", "tol", "pairs", "seed", "out")),
+}
+
 
 def _validate_config(config: ExperimentConfig) -> None:
     """Reject parameter values the modules would reject, before any work."""
@@ -614,21 +638,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Histogram differential-entropy estimation with explicit confidence bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("bound", help="evaluate the confidence bound"),
-                "k", "l", "m", "n", "delta", "out", "seed", "threads")
-    _add_common(sub.add_parser("optimize-m", help="bound-minimizing bin count"),
-                "k", "l", "n", "delta", "out", "seed", "threads")
-    _add_common(sub.add_parser("estimate", help="certified entropy estimate"),
-                "density", "input", "format", "k", "l", "m", "n", "delta", "seed", "out", "threads")
-    _add_common(sub.add_parser("mi-estimate", help="certified mutual-information estimate"),
-                "density", "input", "format", "k1", "k2", "l", "n", "delta", "seed", "out", "threads")
-    _add_common(sub.add_parser("coverage", help="empirical coverage experiment"),
-                "density", "k", "l", "m", "n", "delta", "trials", "seed", "out", "threads")
-    for name in ("prop1-demo", "mi-demo", "kl-demo"):
-        _add_common(sub.add_parser(name, help=f"adversarial demonstration: {name}"),
-                    "c", "delta", "n", "trials", "seed", "estimator", "out", "threads")
-    _add_common(sub.add_parser("verify-lemmas", help="numerical checks of the supporting inequalities"),
-                "k", "m_list", "tol", "pairs", "seed", "out", "threads")
+    for command, (helptext, options) in _COMMANDS.items():
+        _add_common(sub.add_parser(command, help=helptext), *options)
     return parser
 
 

@@ -364,7 +364,7 @@ def mi_adversary(a: float, epsilon: float) -> ContinuousMiAdversary:
     """Adversarial joint sampler whose true mutual information is epsilon*(a + h_trap).
 
     h_trap is the entropy of x + w (a trapezoid obtained by convolving U[0,1]
-    with U[0, e^-a]), evaluated by quadrature; it vanishes with e^-a, so the
+    with U[0, e^-a]), exactly c/2 for c = e^-a; it vanishes with e^-a, so the
     mutual information is bounded below by a * epsilon.
     """
     if not (a >= 0.0) or not math.isfinite(a):
@@ -372,15 +372,8 @@ def mi_adversary(a: float, epsilon: float) -> ContinuousMiAdversary:
     if not (0.0 < epsilon < 1.0):
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     c = math.exp(-a)
-    if c > 0.0:
-        from .oracle import trapezoid_entropy
-
-        h_trap = trapezoid_entropy(c)
-    else:
-        # e^-a underflows; the trapezoid entropy c/2 is zero at this precision.
-        h_trap = 0.0
     return ContinuousMiAdversary(
-        a=float(a), epsilon=float(epsilon), noise_width=c, true_mi=epsilon * (a + h_trap)
+        a=float(a), epsilon=float(epsilon), noise_width=c, true_mi=epsilon * (a + c / 2.0)
     )
 
 

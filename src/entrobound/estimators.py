@@ -14,7 +14,9 @@ dependent branch, and a pair of step densities with a huge but invisible
 relative entropy.  Each follows the same recipe: calibrate the estimator's
 typical spread b on a benign pilot distribution, then place the truth more
 than b + C away while keeping the contaminated samples indistinguishable
-from the pilot.  The harnesses accept any estimator as a callable mapping a
+from the pilot.  That recipe lives once, in the private driver ``_run_demo``;
+each public demo supplies only its pilot draw, its score and its planted
+construction.  The harnesses accept any estimator as a callable mapping a
 sample-row matrix to one float, including external processes (see
 ``ExternalEstimator``).
 """
@@ -42,6 +44,7 @@ from .histogram import (
     _as_points,
     _bin_indices,
     _check_unit_cube,
+    _count_entropy,
     estimate_differential_entropy,
 )
 from .oracle import kl_true_divergence
@@ -216,14 +219,10 @@ def discrete_mi_plugin(x_samples, y_labels, M_bins: int) -> float:
     n = y.shape[0]
     if n == 0:
         raise ValueError("no samples")
-
-    def count_entropy(counts: np.ndarray) -> float:
-        return math.log(n) - float(np.sum(counts * np.log(counts))) / n
-
     _, cx = np.unique(xb, axis=0, return_counts=True)
     _, cy = np.unique(y, return_counts=True)
     _, cxy = np.unique(np.column_stack([xb, y]), axis=0, return_counts=True)
-    return count_entropy(cx) + count_entropy(cy) - count_entropy(cxy)
+    return _count_entropy(cx, n) + _count_entropy(cy, n) - _count_entropy(cxy, n)
 
 
 def two_cell_kl_plugin(p_samples, q_samples) -> float:
@@ -301,8 +300,40 @@ def _check_demo_args(C: float, delta: float, N: int, trials: int) -> None:
     as_int("trials", trials, minimum=10)
 
 
-def _upper_quantile(values: list[float], q: float) -> float:
-    return float(np.quantile(np.asarray(values), q, method="higher"))
+def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: int) -> DemoReport:
+    """The recipe shared by the three demonstrations.
+
+    Calibrate b as the (1 - delta/2) upper quantile of ``score(estimate)``
+    over the pilot draws, let ``plant(b)`` return the planted truth and the
+    attack draw for trial t, then count the attack trials whose estimate
+    misses the truth by more than C and those whose score stays at most b.
+    An ``EstimatorFailure`` in the attack phase counts as a miss and never as
+    "below"; one in the pilot phase propagates.
+    """
+    pilot = [score(victim(pilot_draw(t))) for t in range(trials)]
+    b = float(np.quantile(np.asarray(pilot), 1.0 - delta / 2.0, method="higher"))
+    truth, attack_draw = plant(b)
+
+    misses = 0
+    below = 0
+    for t in range(trials):
+        rows = attack_draw(t)
+        try:
+            est = victim(rows)
+        except EstimatorFailure:
+            misses += 1
+            continue
+        misses += abs(est - truth) > C
+        below += score(est) <= b
+    return DemoReport(
+        trials=trials,
+        failure_fraction=misses / trials,
+        C=C,
+        delta=delta,
+        calibrated_b=b,
+        true_value=truth,
+        below_threshold_fraction=below / trials,
+    )
 
 
 def prop1_demo(
@@ -332,52 +363,34 @@ def prop1_demo(
     if victim is None:
         victim = PinnedEntropyEstimator(K, base.lipschitz_L, delta, N)
 
-    pilot_errors = []
-    for t in range(trials):
-        est = victim(sample(base, N, split(seed, 0, t)))
-        pilot_errors.append(abs(est - h_base))
-    b = _upper_quantile(pilot_errors, 1.0 - delta / 2.0)
+    def plant(b: float):
+        eps = delta / (2.0 * N)
+        a = (b + C + _LN2) / eps + 1.0
+        target_h = h_base - a
+        if not math.isfinite(target_h):
+            raise ValueError(
+                f"required entropy gap a={a:g} exceeds the representable range of "
+                "target entropies"
+            )
+        alt = low_entropy_alt(K, target_h)
+        mixture = prop1_mixture(ContaminationSpec(base=base, alt=alt, epsilon=eps, a=a))
+        return mixture.analytic_entropy, lambda t: sample(mixture, N, split(seed, 1, t))
 
-    eps = delta / (2.0 * N)
-    a = (b + C + _LN2) / eps + 1.0
-    target_h = h_base - a
-    if not math.isfinite(target_h):
-        raise ValueError(
-            f"required entropy gap a={a:g} exceeds the representable range of "
-            "target entropies"
-        )
-    alt = low_entropy_alt(K, target_h)
-    mixture = prop1_mixture(ContaminationSpec(base=base, alt=alt, epsilon=eps, a=a))
-    truth = mixture.analytic_entropy
-
-    misses = 0
-    below = 0
-    for t in range(trials):
-        points = sample(mixture, N, split(seed, 1, t))
-        try:
-            est = victim(points)
-        except EstimatorFailure:
-            misses += 1
-            continue
-        misses += abs(est - truth) > C
-        below += abs(est - h_base) <= b
-    return DemoReport(
-        trials=trials,
-        failure_fraction=misses / trials,
-        C=C,
-        delta=delta,
-        calibrated_b=b,
-        true_value=truth,
-        below_threshold_fraction=below / trials,
+    return _run_demo(
+        victim,
+        score=lambda est: abs(est - h_base),
+        pilot_draw=lambda t: sample(base, N, split(seed, 0, t)),
+        plant=plant, C=C, delta=delta, trials=trials,
     )
 
 
 class _PinnedMiEstimator:
     """Certified MI estimator frozen for fixed N: x on [0,1], y on [-2,1]."""
 
-    def __init__(self, delta: float, assumed_L: float = 1.0) -> None:
+    assumed_L = 1.0
+
+    def __init__(self, delta: float) -> None:
         self.delta = delta
-        self.assumed_L = assumed_L
 
     def __call__(self, rows) -> float:
         rows = _as_points(rows)
@@ -401,38 +414,25 @@ def mi_adversary_demo(
     _check_demo_args(C, delta, N, trials)
     victim = estimator if estimator is not None else _PinnedMiEstimator(delta)
 
-    pilot = []
-    for t in range(trials):
+    def pilot_draw(t: int) -> np.ndarray:
         rng = generator(split(seed, 0, t))
-        rows = np.column_stack([rng.random(N), rng.random(N)])
-        pilot.append(victim(rows))
-    b = _upper_quantile(pilot, 1.0 - delta / 2.0)
+        return np.column_stack([rng.random(N), rng.random(N)])
 
-    eps = delta / (2.0 * N)
-    a = (b + C) / eps + 1.0
-    adversary = mi_adversary(a, eps)
-    truth = adversary.true_mi
+    def plant(b: float):
+        eps = delta / (2.0 * N)
+        adversary = mi_adversary((b + C) / eps + 1.0, eps)
+        return adversary.true_mi, lambda t: np.column_stack(adversary.sample(split(seed, 1, t), N))
 
-    misses = 0
-    below = 0
-    for t in range(trials):
-        x, y = adversary.sample(split(seed, 1, t), N)
-        try:
-            est = victim(np.column_stack([x, y]))
-        except EstimatorFailure:
-            misses += 1
-            continue
-        misses += abs(est - truth) > C
-        below += est <= b
-    return DemoReport(
-        trials=trials,
-        failure_fraction=misses / trials,
-        C=C,
-        delta=delta,
-        calibrated_b=b,
-        true_value=truth,
-        below_threshold_fraction=below / trials,
+    return _run_demo(
+        victim, score=float, pilot_draw=pilot_draw, plant=plant, C=C, delta=delta, trials=trials
     )
+
+
+def _two_cell_kl_rows(rows) -> float:
+    """``two_cell_kl_plugin`` on stacked rows: p-samples first, then q-samples."""
+    rows = _as_points(rows)
+    half = rows.shape[0] // 2
+    return two_cell_kl_plugin(rows[:half], rows[half:])
 
 
 def kl_demo(
@@ -448,44 +448,23 @@ def kl_demo(
     the true relative entropy D(a, k) >= c + C.
     """
     _check_demo_args(C, delta, N, trials)
+    victim = estimator if estimator is not None else _two_cell_kl_rows
 
-    def default_victim(rows) -> float:
-        rows = _as_points(rows)
-        half = rows.shape[0] // 2
-        return two_cell_kl_plugin(rows[:half], rows[half:])
+    def pilot_draw(t: int) -> np.ndarray:
+        return generator(split(seed, 0, t)).random((2 * N, 1)) - 1.0
 
-    victim = estimator if estimator is not None else default_victim
+    def plant(c: float):
+        a = math.log(4.0 * N / delta)
+        k = c + C + math.exp(-1.0)
+        p_model, q_model = kl_step_pair(a, k)
 
-    pilot = []
-    for t in range(trials):
-        rng = generator(split(seed, 0, t))
-        rows = (rng.random((2 * N, 1)) - 1.0)
-        pilot.append(victim(rows))
-    c = _upper_quantile(pilot, 1.0 - delta / 2.0)
+        def attack_draw(t: int) -> np.ndarray:
+            xp = sample(p_model, N, split(seed, 1, t, 0))
+            xq = sample(q_model, N, split(seed, 1, t, 1))
+            return np.vstack([xp, xq])
 
-    a = math.log(4.0 * N / delta)
-    k = c + C + math.exp(-1.0)
-    p_model, q_model = kl_step_pair(a, k)
-    truth = kl_true_divergence(a, k)
+        return kl_true_divergence(a, k), attack_draw
 
-    misses = 0
-    below = 0
-    for t in range(trials):
-        xp = sample(p_model, N, split(seed, 1, t, 0))
-        xq = sample(q_model, N, split(seed, 1, t, 1))
-        try:
-            est = victim(np.vstack([xp, xq]))
-        except EstimatorFailure:
-            misses += 1
-            continue
-        misses += abs(est - truth) > C
-        below += est <= c
-    return DemoReport(
-        trials=trials,
-        failure_fraction=misses / trials,
-        C=C,
-        delta=delta,
-        calibrated_b=c,
-        true_value=truth,
-        below_threshold_fraction=below / trials,
+    return _run_demo(
+        victim, score=float, pilot_draw=pilot_draw, plant=plant, C=C, delta=delta, trials=trials
     )

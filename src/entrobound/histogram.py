@@ -113,19 +113,27 @@ def build_histogram(samples, M: int) -> SparseHistogram:
     return SparseHistogram(K=k, M=M, counts=counts, N=n)
 
 
+def _count_entropy(counts: np.ndarray, n: int) -> float:
+    """Shannon entropy, in nats, of positive counts summing to n.
+
+    Computed as log(n) - sum(c * log(c)) / n, which avoids forming tiny
+    ratios; a single count gives exactly 0.
+    """
+    if counts.size == 1:
+        return 0.0
+    return float(math.log(n) - np.sum(counts * np.log(counts)) / n)
+
+
 def plugin_entropy(hist: SparseHistogram) -> float:
     """Shannon entropy of the empirical bin distribution, in nats.
 
-    Computed as log(N) - sum(c * log(c)) / N, which is exact for single-bin
-    histograms and avoids forming tiny ratios.  Result lies in
-    [0, log(min(N, M^K))].
+    Result lies in [0, log(min(N, M^K))], and is exactly 0 for a single
+    occupied bin.
     """
     if hist.N < 1 or not hist.counts:
         raise ValueError("empty histogram")
-    if len(hist.counts) == 1:
-        return 0.0
     c = np.fromiter(hist.counts.values(), dtype=np.float64, count=len(hist.counts))
-    return float(math.log(hist.N) - np.sum(c * np.log(c)) / hist.N)
+    return _count_entropy(c, hist.N)
 
 
 def estimate_differential_entropy(samples, M: int) -> float:

@@ -44,6 +44,18 @@ class TestBoundCommand:
         assert err.startswith("error: invalid:")
 
 
+@pytest.mark.parametrize(
+    "command",
+    ["bound", "optimize-m", "estimate", "mi-estimate", "prop1-demo", "mi-demo", "kl-demo",
+     "verify-lemmas"],
+)
+def test_threads_only_on_coverage(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+
+
 class TestEstimateCommand:
     def test_csv_columns_and_meta(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -62,6 +74,9 @@ class TestEstimateCommand:
         assert "seed = 7" in meta
         assert "version = " in meta
         assert "wall_time_s = " in meta
+        # only the options estimate accepts
+        keys = {line.split(" = ")[0] for line in meta.splitlines()}
+        assert not keys & {"m_list", "pairs", "k1", "k2", "threads"}
 
     def test_estimate_from_ingested_file(self, tmp_path, capsys):
         data = tmp_path / "pts.csv"

@@ -209,8 +209,13 @@ class TestMiAdversary:
     def test_true_mi_decomposition(self):
         adv = mi_adversary(3.0, 0.1)
         c = math.exp(-3.0)
-        assert adv.true_mi == pytest.approx(0.1 * (3.0 + trapezoid_entropy(c)), abs=1e-12)
-        assert adv.true_mi == pytest.approx(0.1 * (3.0 + c / 2.0), abs=1e-6)
+        assert adv.true_mi == pytest.approx(0.1 * (3.0 + c / 2.0), rel=1e-15, abs=0.0)
+        assert adv.true_mi == pytest.approx(0.1 * (3.0 + trapezoid_entropy(c)), abs=1e-6)
+
+    def test_closed_form_where_quadrature_underflows(self):
+        # Quadrature of the trapezoid entropy returns 0.0 from a = 9 on.
+        expected = 0.1 * (9.0 + math.exp(-9.0) / 2.0)
+        assert mi_adversary(9.0, 0.1).true_mi == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     def test_lower_bound_a_eps(self):
         for a, eps in ((0.5, 0.3), (10.0, 1e-3), (2000.0, 5e-4)):

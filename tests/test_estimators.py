@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from entrobound import (
+    DemoReport,
     EstimatorFailure,
     ExternalEstimator,
     OutOfSupportError,
@@ -133,9 +134,11 @@ class TestDiscreteMiPlugin:
     def test_constant_y_exactly_zero(self):
         from entrobound import discrete_mi_plugin
 
-        x = sample(tent_density(1), 500, 1)
-        y = np.ones(500, dtype=int)
-        assert discrete_mi_plugin(x, y, 16) == 0.0
+        # n = 6 is a size where log(n) - n*log(n)/n rounds away from 0.
+        for n in (500, 6):
+            x = sample(tent_density(1), n, 1)
+            y = np.ones(n, dtype=int)
+            assert discrete_mi_plugin(x, y, 16) == 0.0
 
     def test_deterministic_function_reaches_log2(self):
         from entrobound import discrete_mi_plugin
@@ -222,6 +225,71 @@ class TestKlDemo:
         assert report.true_value >= report.calibrated_b + report.C
         # pilot estimator sees two identical all-negative uniforms
         assert report.calibrated_b == 0.0
+
+
+class _OddAttackFailures:
+    """Pinned entropy estimator that fails on every odd call after the pilot."""
+
+    def __init__(self, pilot_calls: int):
+        self.victim = PinnedEntropyEstimator(1, 4.0, 0.2, 40)
+        self.pilot_calls = pilot_calls
+        self.calls = 0
+
+    def __call__(self, rows):
+        self.calls += 1
+        if self.calls > self.pilot_calls and self.calls % 2:
+            raise EstimatorFailure("odd attack trial")
+        return self.victim(rows)
+
+
+# Exact reports at fixed seeds: the shared demo driver must reproduce every
+# field bit for bit.
+_GOLDEN_DEMOS = [
+    pytest.param(
+        prop1_demo, dict(C=0.5, delta=0.2, N=50, trials=20, seed=101),
+        DemoReport(trials=20, failure_fraction=1.0, C=0.5, delta=0.2,
+                   calibrated_b=0.2918670168954274, true_value=-1.6657341631531417,
+                   below_threshold_fraction=0.9),
+        id="prop1-K1",
+    ),
+    pytest.param(
+        prop1_demo, dict(C=0.5, delta=0.2, N=60, trials=12, seed=3, K=2),
+        DemoReport(trials=12, failure_fraction=1.0, C=0.5, delta=0.2,
+                   calibrated_b=1.2491151753753424, true_value=-2.8178965572909553,
+                   below_threshold_fraction=0.9166666666666666),
+        id="prop1-K2",
+    ),
+    pytest.param(
+        mi_adversary_demo, dict(C=0.5, delta=0.2, N=50, trials=20, seed=77),
+        DemoReport(trials=20, failure_fraction=0.95, C=0.5, delta=0.2,
+                   calibrated_b=0.3398907167129841, true_value=0.8418907167129841,
+                   below_threshold_fraction=0.95),
+        id="mi",
+    ),
+    pytest.param(
+        kl_demo, dict(C=0.5, delta=0.2, N=50, trials=20, seed=55),
+        DemoReport(trials=20, failure_fraction=1.0, C=0.5, delta=0.2,
+                   calibrated_b=0.0, true_value=0.8668799413381924,
+                   below_threshold_fraction=0.95),
+        id="kl",
+    ),
+    # Half the attack trials fail: each failure is a miss and never "below".
+    pytest.param(
+        prop1_demo, dict(C=0.2, delta=0.2, N=40, trials=12, seed=5,
+                         estimator=lambda: _OddAttackFailures(pilot_calls=12)),
+        DemoReport(trials=12, failure_fraction=1.0, C=0.2, delta=0.2,
+                   calibrated_b=0.3684778195297078, true_value=-1.4397966468892553,
+                   below_threshold_fraction=0.5),
+        id="prop1-failing-estimator",
+    ),
+]
+
+
+@pytest.mark.parametrize("demo, kwargs, expected", _GOLDEN_DEMOS)
+def test_demo_reports_golden(demo, kwargs, expected):
+    if "estimator" in kwargs:
+        kwargs = dict(kwargs, estimator=kwargs["estimator"]())
+    assert demo(**kwargs) == expected
 
 
 class TestExternalEstimatorProtocol:
