@@ -245,7 +245,11 @@ def _thread_count(config: ExperimentConfig) -> int:
         return max(1, config.threads)
     env = os.environ.get("ENTROBOUND_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
+        return max(1, threads)
     return min(32, os.cpu_count() or 1)
 
 

@@ -1,19 +1,24 @@
-"""Quantization, sparse bin counting, and the plug-in entropy estimate.
+"""Quantization, bin counting, and the plug-in entropy estimate.
 
 The pipeline: samples in [0,1]^K are quantized per coordinate to bin index
-floor(M*x) (the top boundary x = 1 clamps into bin M-1), counted in a sparse
-map over the M^K grid, and the differential entropy is estimated as the
-Shannon entropy of the bin counts minus the correction K*log(M):
+floor(M*x) (the top boundary x = 1 clamps into bin M-1), the occupied bins
+are counted, and the differential entropy is estimated as the Shannon entropy
+of the bin counts minus the correction K*log(M):
 
     h_hat = H(counts / N) - K * log(M) .
 
-Storage is always sparse (at most N occupied bins), never a dense M^K array.
-Histograms are immutable once built and safe to share across threads.
+A histogram stores only its occupied bins (at most N) and their counts, as
+two arrays in row-major bin order.  Counting packs each bin index into one
+row-major integer key and tallies the keys with a dense ``bincount`` only
+when the grid is small (M^K <= 4N), otherwise by sorting them, so memory
+stays O(N).  Histograms are immutable once built and safe to share across
+threads.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,15 +37,70 @@ __all__ = [
 # A bin index is a K-tuple of integers, each in [0, M-1].
 BinIndex = tuple[int, ...]
 
+# Rows quantized per step: keeps the float and index temporaries in cache.
+_BLOCK_ROWS = 1 << 16
 
-@dataclass(frozen=True)
+
+class _CountsView(Mapping):
+    """Read-only bin-index -> count mapping over a histogram's arrays.
+
+    Its length is the number of occupied bins; the dict behind it is built
+    on the first lookup or iteration.
+    """
+
+    def __init__(self, bins: np.ndarray, tally: np.ndarray) -> None:
+        self._bins = bins
+        self._tally = tally
+        self._dict: dict[BinIndex, int] | None = None
+
+    def _as_dict(self) -> dict[BinIndex, int]:
+        if self._dict is None:
+            self._dict = dict(zip(map(tuple, self._bins.tolist()), self._tally.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._tally)
+
+    def __getitem__(self, key) -> int:
+        return self._as_dict()[key]
+
+    def __iter__(self):
+        return iter(self._as_dict())
+
+    def __repr__(self) -> str:
+        return repr(self._as_dict())
+
+
+@dataclass(frozen=True, eq=False)
 class SparseHistogram:
-    """Bin-index -> count map over the M^K grid, with N total samples."""
+    """Occupied bins of the M^K grid and their counts, over N samples.
+
+    ``bins`` is the (n_occ, K) int64 array of occupied bin indices in
+    row-major order and ``tally`` the (n_occ,) int64 array of their counts;
+    both are read-only.  ``counts`` presents the same data as a read-only
+    bin-index -> count mapping.
+    """
 
     K: int
     M: int
-    counts: dict[BinIndex, int]
     N: int
+    bins: np.ndarray
+    tally: np.ndarray
+    counts: Mapping[BinIndex, int] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.bins.flags.writeable = False
+        self.tally.flags.writeable = False
+        object.__setattr__(self, "counts", _CountsView(self.bins, self.tally))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseHistogram):
+            return NotImplemented
+        return (
+            (self.K, self.M, self.N) == (other.K, other.M, other.N)
+            and np.array_equal(self.bins, other.bins)
+            and np.array_equal(self.tally, other.tally)
+        )
 
 
 def _as_points(samples) -> np.ndarray:
@@ -53,13 +113,14 @@ def _as_points(samples) -> np.ndarray:
     return arr
 
 
-def _check_unit_cube(arr: np.ndarray) -> None:
+def _check_unit_cube(arr: np.ndarray, first: int = 0) -> None:
+    """Reject rows outside [0, 1]^K; ``first`` is the index of arr's row 0."""
     # NaN fails both comparisons, so it is rejected here too.
     inside = (arr >= 0.0) & (arr <= 1.0)
     if not inside.all():
         bad = int(np.argmax(~inside.all(axis=1)))
         raise OutOfSupportError(
-            f"sample {bad} lies outside [0, 1]^K: {arr[bad].tolist()}; "
+            f"sample {first + bad} lies outside [0, 1]^K: {arr[bad].tolist()}; "
             "rescale the data first (affine_rescale)"
         )
 
@@ -80,37 +141,53 @@ def quantize_index(x, M: int) -> BinIndex:
 
 
 def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
-    idx = np.minimum(np.floor(points * M), M - 1).astype(np.int64)
+    idx = points * M
+    np.floor(idx, out=idx)
+    np.minimum(idx, M - 1, out=idx)
+    if M > 2**53:
+        # Beyond 2^53 neither idx + 1 nor M - 1 is exact in float64.
+        idx = idx.astype(np.int64)
     # floor(x*M) can land one bin off when the product rounds across an
-    # edge; fix against the rounded edges i/M themselves.
-    idx[(idx < M - 1) & ((idx + 1) / M <= points)] += 1
-    idx[idx / M > points] -= 1
-    return idx
+    # edge; fix against the rounded edges i/M themselves.  idx holds exact
+    # integers, so adding the 0/1 masks is an integer +1 / -1.
+    idx += (idx < M - 1) & ((idx + 1) / M <= points)
+    idx -= idx / M > points
+    return idx.astype(np.int64, copy=False)
 
 
 def build_histogram(samples, M: int) -> SparseHistogram:
-    """Sparse bin counts of the samples; independent of sample order."""
+    """Bin counts of the samples in row-major bin order; independent of sample order."""
     M = as_int("M", M)
     points = _as_points(samples)
     n, k = points.shape
     if n == 0:
         raise ValueError("cannot build a histogram from zero samples")
-    _check_unit_cube(points)
-    idx = _bin_indices(points, M)
-    if k == 1:
-        uniq, cnt = np.unique(idx[:, 0], return_counts=True)
-        counts = {(int(b),): int(c) for b, c in zip(uniq.tolist(), cnt.tolist())}
-    elif math.log2(M) * k < 62:
-        # Pack the K coordinates into one integer for a fast 1-D unique.
-        flat = np.ravel_multi_index(idx.T, (M,) * k)
-        uniq, cnt = np.unique(flat, return_counts=True)
-        coords = np.unravel_index(uniq, (M,) * k)
-        keys = zip(*(c.tolist() for c in coords))
-        counts = {tuple(key): int(c) for key, c in zip(keys, cnt.tolist())}
+    # Beyond 62 bits a row-major key would overflow int64: count index rows.
+    packed = math.log2(M) * k < 62
+    keys = np.empty(n if packed else (n, k), dtype=np.int64)
+    for start in range(0, n, _BLOCK_ROWS):
+        block = points[start:start + _BLOCK_ROWS]
+        _check_unit_cube(block, start)
+        idx = _bin_indices(block, M)
+        if packed:
+            key = keys[start:start + _BLOCK_ROWS]
+            key[:] = idx[:, 0]
+            for j in range(1, k):  # Horner: ((i_0 * M + i_1) * M + i_2) ...
+                key *= M
+                key += idx[:, j]
+        else:
+            keys[start:start + _BLOCK_ROWS] = idx
+    if not packed:
+        bins, tally = np.unique(keys, axis=0, return_counts=True)
+        return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)
+    if M**k <= 4 * n:
+        tally = np.bincount(keys, minlength=M**k)
+        flat = np.flatnonzero(tally)
+        tally = tally[flat]
     else:
-        uniq, cnt = np.unique(idx, axis=0, return_counts=True)
-        counts = {tuple(row): int(c) for row, c in zip(uniq.tolist(), cnt.tolist())}
-    return SparseHistogram(K=k, M=M, counts=counts, N=n)
+        flat, tally = np.unique(keys, return_counts=True)
+    bins = np.stack(np.unravel_index(flat, (M,) * k), axis=1)
+    return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)
 
 
 def _count_entropy(counts: np.ndarray, n: int) -> float:
@@ -130,10 +207,9 @@ def plugin_entropy(hist: SparseHistogram) -> float:
     Result lies in [0, log(min(N, M^K))], and is exactly 0 for a single
     occupied bin.
     """
-    if hist.N < 1 or not hist.counts:
+    if hist.N < 1 or hist.tally.size == 0:
         raise ValueError("empty histogram")
-    c = np.fromiter(hist.counts.values(), dtype=np.float64, count=len(hist.counts))
-    return _count_entropy(c, hist.N)
+    return _count_entropy(hist.tally, hist.N)
 
 
 def estimate_differential_entropy(samples, M: int) -> float:

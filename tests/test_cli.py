@@ -165,6 +165,17 @@ class TestCoverageCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_unparsable_thread_env_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", "two")
+        code, _, err = run_cli(
+            ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "100",
+             "--delta", "0.1", "--trials", "2", "--seed", "9",
+             "--out", str(tmp_path / "cov.csv")],
+            capsys,
+        )
+        assert code == 2
+        assert err.strip() == "error: invalid: ENTROBOUND_THREADS must be an integer, got 'two'"
+
 
 class TestDemoCommands:
     @pytest.mark.parametrize("command", ["prop1-demo", "mi-demo", "kl-demo"])

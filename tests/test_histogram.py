@@ -1,4 +1,5 @@
-"""Quantization, sparse counting, and the plug-in estimate."""
+"""Quantization, bin counting, and the plug-in estimate."""
+import collections
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from entrobound import (
     plugin_entropy,
     quantize_index,
 )
+from entrobound.histogram import _bin_indices, _count_entropy
 from entrobound.rng import generator
 
 
@@ -96,6 +98,85 @@ class TestBuildHistogram:
     def test_one_dimensional_input_convenience(self):
         hist = build_histogram([0.1, 0.1, 0.9], 2)
         assert hist.counts == {(0,): 2, (1,): 1}
+
+    def test_out_of_support_names_row_in_later_block(self):
+        pts = generator(11).random((2**16 + 10, 2))
+        pts[2**16 + 5, 1] = 1.5
+        with pytest.raises(OutOfSupportError, match=r"sample 65541 "):
+            build_histogram(pts, 4)
+
+    def test_arrays_read_only(self):
+        hist = build_histogram(generator(10).random((50, 2)), 4)
+        for arr in (hist.bins, hist.tally):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(TypeError):
+            hist.counts[(0, 0)] = 1
+
+    def test_equality(self):
+        pts = generator(12).random((200, 2))
+        assert build_histogram(pts, 5) == build_histogram(pts[::-1], 5) != build_histogram(pts, 6)
+
+
+def _edge_pool(M, rng):
+    """Coordinates on bin edges i/M (x = 1 included), just below them, and random."""
+    if M <= 64:
+        i = np.arange(M + 1)
+    else:
+        i = np.unique(np.concatenate([[0, 1, M - 1, M], rng.integers(0, M + 1, size=60)]))
+    edges = i / M
+    below = np.nextafter(edges[edges > 0.0], 0.0)
+    return np.concatenate([edges, below, rng.random(20)])
+
+
+def _reference_counts(points, M):
+    """Pure-Python tally of quantize_index over every point (repeated rows quantized once)."""
+    counts = {}
+    for row, repeats in collections.Counter(map(tuple, points.tolist())).items():
+        key = quantize_index(row, M)
+        counts[key] = counts.get(key, 0) + repeats
+    return counts
+
+
+def _reference_bin_indices(points, M):
+    """The quantization rule with its edge fix-ups in integer arithmetic."""
+    idx = np.minimum(np.floor(points * M), M - 1).astype(np.int64)
+    idx[(idx < M - 1) & ((idx + 1) / M <= points)] += 1
+    idx[idx / M > points] -= 1
+    return idx
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 7, 10, 7644, 2**40, 2**53 + 4, 3 * 2**60, 2**62])
+def test_bin_indices_match_integer_reference(M):
+    rng = generator(2000 + M % 1000)
+    points = rng.choice(_edge_pool(M, rng), size=(3000, 2))
+    assert np.array_equal(_bin_indices(points, M), _reference_bin_indices(points, M))
+
+
+# (K, M, N): bin edges at K = 1..4 including M = 1; M^K at and just above 4N
+# (dense and sorted counting); N across the quantization block of 2^16 rows;
+# K * log2(M) >= 62, where bins are counted as index rows.
+_DIFFERENTIAL_CASES = (
+    [(K, M, 300) for K in (1, 2, 3, 4) for M in (1, 2, 3, 7, 10)]
+    + [(1, 7644, 300), (2, 100, 300)]
+    + [(1, 1000, 250), (1, 1000, 249), (2, 31, 250), (2, 32, 250),
+       (3, 10, 250), (3, 10, 249), (4, 6, 324), (4, 6, 323)]
+    + [(2, 7, 2**16 - 1), (2, 7, 2**16), (2, 7, 2**16 + 1), (3, 100, 2**16 + 1)]
+    + [(1, 2**62, 500), (2, 2**40, 500), (3, 2**21, 500), (4, 2**16, 500)]
+)
+
+
+@pytest.mark.parametrize("K, M, N", _DIFFERENTIAL_CASES)
+def test_counts_match_pointwise_reference(K, M, N):
+    rng = generator(1000 + 10 * K + N % 10)
+    points = rng.choice(_edge_pool(M, rng), size=(N, K))
+    hist = build_histogram(points, M)
+    assert hist.counts == _reference_counts(points, M)
+    assert list(hist.counts) == sorted(hist.counts)  # row-major bin order
+    assert int(hist.tally.sum()) == N
+    # the entropy of the counts read back through the mapping, bit for bit
+    reference = _count_entropy(np.fromiter(hist.counts.values(), float), N)
+    assert plugin_entropy(hist) == reference
 
 
 class TestPluginEntropy:
