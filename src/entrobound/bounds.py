@@ -45,9 +45,6 @@ _FACTORIAL_CUTOFF = 20
 # empirical-bias term.
 _LOG_MK_CUTOFF = 700.0
 
-# Exhaustive-search budget for optimize_M.
-_MAX_CANDIDATES = 4096
-
 
 def alpha_const() -> float:
     """Curvature constant (sqrt(e^2 + 4) - e) / (2e) of the bound's log terms."""
@@ -190,10 +187,22 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
 
     Searches the integer range [min_valid_M, M_cap] where
     M_cap = max(min_valid_M, ceil((10*N)^(1/K))); beyond M_cap the empirical
-    bias alone exceeds any gain from finer quantization.  The search is
-    exhaustive when the range is small, otherwise a geometric grid of at most
-    4096 candidates followed by a +-1 descent.  Ties break toward smaller M
-    (cheaper histograms).
+    bias alone exceeds any gain from finer quantization.
+
+    The search is a bisection, which relies on the total being unimodal in M
+    over that range.  With q(M) = (L*K / 2M) log(M*eta) and
+    e(M) = log(1 + (M^K - 1)/N) (the statistical term does not depend on M),
+    the total's derivative is e'(M) * (1 - r(M)) with r = -q'/e' > 0, and
+
+        d/dM log r(M) < (1/(log(M*eta) - 1) - 1) / M < 0
+
+    because M*eta >= 1/alpha ~ 8.28 > e^2 on the valid range.  So r falls
+    strictly, and the total strictly decreases and then strictly increases
+    (either part may be empty).
+    The bisection moves right when total(mid + 1) < total(mid) and left
+    otherwise, so ties break toward smaller M (cheaper histograms).  It
+    evaluates the bound at most 2*ceil(log2(M_cap - min_valid_M + 1)) + 1
+    times.
     """
     K = _validate_K_L(K, L)
     N = as_int("N", N, minimum=2)
@@ -206,35 +215,15 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
     def objective(M: int) -> float:
         return total_bound(BoundParams(K, L, M, N, delta)).total
 
-    if hi - lo + 1 <= _MAX_CANDIDATES:
-        candidates = range(lo, hi + 1)
-    else:
-        log_lo, log_hi = math.log(lo), math.log(hi)
-        raw = (
-            round(math.exp(log_lo + (log_hi - log_lo) * i / (_MAX_CANDIDATES - 1)))
-            for i in range(_MAX_CANDIDATES)
-        )
-        candidates = sorted({min(hi, max(lo, m)) for m in raw})
-
-    best_M = lo
-    best_val = objective(lo)
-    for M in candidates:
-        val = objective(M)
-        if val < best_val:
-            best_M, best_val = M, val
-
-    # Local descent; on ties move toward smaller M.
-    while True:
-        if best_M - 1 >= lo and objective(best_M - 1) <= best_val:
-            best_M -= 1
-            best_val = objective(best_M)
-        elif best_M + 1 <= hi and objective(best_M + 1) < best_val:
-            best_M += 1
-            best_val = objective(best_M)
+    # Invariant: the smallest minimizer lies in [lo, hi].
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if objective(mid + 1) < objective(mid):
+            lo = mid + 1
         else:
-            break
+            hi = mid
 
-    return best_M, total_bound(BoundParams(K, L, best_M, N, delta))
+    return lo, total_bound(BoundParams(K, L, lo, N, delta))
 
 
 def discrete_entropy_bounds(M_alphabet: int, N: int, delta: float) -> tuple[float, float]:

@@ -42,6 +42,7 @@ from .densities import (
 from .errors import EntroboundError
 from .histogram import (
     _as_points,
+    _bin_count,
     _bin_indices,
     _check_unit_cube,
     _count_entropy,
@@ -210,6 +211,7 @@ def discrete_mi_plugin(x_samples, y_labels, M_bins: int) -> float:
     discrete-alphabet adversary: until two samples collide in an x-bin, the
     dependence of y on x is invisible.
     """
+    M_bins = _bin_count(M_bins)
     pts = _as_points(x_samples)
     _check_unit_cube(pts)
     xb = _bin_indices(pts, M_bins)

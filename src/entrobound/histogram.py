@@ -7,6 +7,9 @@ of the bin counts minus the correction K*log(M):
 
     h_hat = H(counts / N) - K * log(M) .
 
+M is at most 2^53: beyond it float64 cannot tell neighbouring bin edges
+apart, so binning rejects larger M.
+
 A histogram stores only its occupied bins (at most N) and their counts, as
 two arrays in row-major bin order.  Counting packs each bin index into one
 row-major integer key and tallies the keys with a dense ``bincount`` only
@@ -39,6 +42,11 @@ BinIndex = tuple[int, ...]
 
 # Rows quantized per step: keeps the float and index temporaries in cache.
 _BLOCK_ROWS = 1 << 16
+
+# Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
+# float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
+# and the edge fix-ups in _bin_indices are exact integer steps.
+_MAX_BINS = 2**53
 
 
 class _CountsView(Mapping):
@@ -133,31 +141,40 @@ def quantize_index(x, M: int) -> BinIndex:
     of i/M, so a bin's lower corner always maps back to that bin even when
     x*M itself rounds across the edge.
     """
-    M = as_int("M", M)
+    M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     _check_unit_cube(arr.reshape(1, -1))
     idx = _bin_indices(arr.reshape(1, -1), M)[0]
     return tuple(int(i) for i in idx)
 
 
+def _bin_count(M) -> int:
+    """M as an int in [1, 2^53], the bin counts whose edges float64 resolves."""
+    M = as_int("M", M)
+    if M > _MAX_BINS:
+        raise ValueError(
+            f"M must be at most 2^53 = {_MAX_BINS}, where float64 stops resolving "
+            f"the bin edges, got {M}"
+        )
+    return M
+
+
 def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
+    """Bin indices of points in the unit cube; M must pass ``_bin_count``."""
     idx = points * M
     np.floor(idx, out=idx)
     np.minimum(idx, M - 1, out=idx)
-    if M > 2**53:
-        # Beyond 2^53 neither idx + 1 nor M - 1 is exact in float64.
-        idx = idx.astype(np.int64)
     # floor(x*M) can land one bin off when the product rounds across an
     # edge; fix against the rounded edges i/M themselves.  idx holds exact
-    # integers, so adding the 0/1 masks is an integer +1 / -1.
+    # integers (M <= 2^53), so adding the 0/1 masks is an integer +1 / -1.
     idx += (idx < M - 1) & ((idx + 1) / M <= points)
     idx -= idx / M > points
-    return idx.astype(np.int64, copy=False)
+    return idx.astype(np.int64)
 
 
 def build_histogram(samples, M: int) -> SparseHistogram:
     """Bin counts of the samples in row-major bin order; independent of sample order."""
-    M = as_int("M", M)
+    M = _bin_count(M)
     points = _as_points(samples)
     n, k = points.shape
     if n == 0:

@@ -3,6 +3,7 @@
 Reference values were computed with 50-digit mpmath evaluations of the same
 closed forms, frozen here as literals.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 
 from entrobound import (
     BoundParams,
+    ConfidenceBound,
     ValidityError,
     alpha_const,
     discrete_entropy_bounds,
@@ -21,6 +23,7 @@ from entrobound import (
     statistical_deviation,
     total_bound,
 )
+from entrobound import bounds
 
 ALPHA_50DIG = 0.12075380243427643
 
@@ -215,6 +218,83 @@ class TestIntegralTypeCoercion:
             empirical_bias(1, 10.5, 100)
 
 
+# Candidate budget of the search below.
+_MAX_CANDIDATES = 4096
+
+
+def _reference_optimize_M(K, L, N, delta) -> tuple[int, ConfidenceBound]:
+    """The search optimize_M ran before the bisection, verbatim: the exhaustive
+    range when it has at most 4096 values, else a geometric grid and a +-1 descent."""
+    lo = min_valid_M(K, L)
+    hi = max(lo, math.ceil((10.0 * N) ** (1.0 / K)))
+
+    def objective(M: int) -> float:
+        return total_bound(BoundParams(K, L, M, N, delta)).total
+
+    if hi - lo + 1 <= _MAX_CANDIDATES:
+        candidates = range(lo, hi + 1)
+    else:
+        log_lo, log_hi = math.log(lo), math.log(hi)
+        raw = (
+            round(math.exp(log_lo + (log_hi - log_lo) * i / (_MAX_CANDIDATES - 1)))
+            for i in range(_MAX_CANDIDATES)
+        )
+        candidates = sorted({min(hi, max(lo, m)) for m in raw})
+
+    best_M = lo
+    best_val = objective(lo)
+    for M in candidates:
+        val = objective(M)
+        if val < best_val:
+            best_M, best_val = M, val
+
+    # Local descent; on ties move toward smaller M.
+    while True:
+        if best_M - 1 >= lo and objective(best_M - 1) <= best_val:
+            best_M -= 1
+            best_val = objective(best_M)
+        elif best_M + 1 <= hi and objective(best_M + 1) < best_val:
+            best_M += 1
+            best_val = objective(best_M)
+        else:
+            break
+
+    return best_M, total_bound(BoundParams(K, L, best_M, N, delta))
+
+
+def _bits(result) -> tuple:
+    """(M, every bound field as its exact float bits) of an optimize_M result."""
+    M, bound = result
+    return M, tuple(float.hex(v) for v in dataclasses.astuple(bound))
+
+
+def _search_range(K, L, N) -> tuple[int, int]:
+    lo = min_valid_M(K, L)
+    return lo, max(lo, math.ceil((10.0 * N) ** (1.0 / K)))
+
+
+_GRID = [
+    (K, L, N, delta)
+    for K in (1, 2, 3, 4)
+    for L in (0.5, 1.0, 4.0, 16.0, 100.0)
+    for N in [2] + [10**e for e in range(1, 8)]
+    for delta in (0.01, 0.05 / 3, 0.1, 0.5)
+]
+
+# Where the benchmark workloads (at full and at self-test scale) and the README
+# examples choose M.  Pinned demo victims use L * max(s) * prod(s) on [-1, 1]^K;
+# mutual information spends delta / 3 on each of its three entropies.
+_IN_USE = sorted({
+    (2, 8.0, 250_000, 0.05), (2, 8.0, 25_000, 0.05),            # estimate-csv
+    *((K, 16.0, N, 0.05 / 3.0) for K in (1, 2, 3) for N in (10**6, 10**5)),  # mi-estimate
+    (2, 8.0, 100_000, 0.1), (2, 8.0, 10_000, 0.1),              # coverage
+    (1, 16.0, 100, 0.1),                                        # prop1-demo
+    (1, 1.0, 100, 0.1 / 3.0), (2, 1.0, 100, 0.1 / 3.0),         # mi-demo
+    (1, 4.0, 100_000, 0.1),                # optimize_M, estimate, coverage examples
+    (1, 8.0, 100_000, 0.1 / 3.0), (2, 8.0, 100_000, 0.1 / 3.0),  # mi-estimate example
+})
+
+
 class TestOptimizeM:
     def test_dominates_endpoints(self):
         K, L, N, delta = 1, 4.0, 10**6, 0.05
@@ -256,6 +336,55 @@ class TestOptimizeM:
             optimize_M(1, 1.0, 1, 0.1)
         with pytest.raises(ValueError):
             optimize_M(1, 1.0, 100, 0.0)
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_matches_reference_search_on_grid(self, K):
+        for case in _GRID:
+            if case[0] == K:
+                assert _bits(optimize_M(*case)) == _bits(_reference_optimize_M(*case)), case
+
+    @pytest.mark.parametrize("K, L, N, delta", _IN_USE)
+    def test_matches_reference_search_where_used(self, K, L, N, delta):
+        assert _bits(optimize_M(K, L, N, delta)) == _bits(_reference_optimize_M(K, L, N, delta))
+
+    def test_first_argmin_on_small_ranges(self):
+        checked = 0
+        for K, L, N, delta in _GRID:
+            lo, hi = _search_range(K, L, N)
+            if hi - lo + 1 > _MAX_CANDIDATES:
+                continue
+            totals = [total_bound(BoundParams(K, L, M, N, delta)).total for M in range(lo, hi + 1)]
+            assert optimize_M(K, L, N, delta)[0] == lo + totals.index(min(totals))
+            checked += 1
+        assert checked > 300
+
+    def test_logarithmic_evaluation_count(self, monkeypatch):
+        calls = 0
+
+        def counted(params):
+            nonlocal calls
+            calls += 1
+            return total_bound(params)
+
+        monkeypatch.setattr(bounds, "total_bound", counted)
+        for K, L, N, delta in _GRID + _IN_USE + [(1, 1.2e4, 11 * 10**11, 0.999)]:
+            lo, hi = _search_range(K, L, N)
+            calls = 0
+            optimize_M(K, L, N, delta)
+            assert 1 <= calls <= 2 * math.ceil(math.log2(hi - lo + 1)) + 1, (K, L, N, delta)
+
+    def test_float_local_minimum_on_a_wide_range(self):
+        """Far beyond the old grid's resolution, neither neighbour beats the result."""
+        K, L, N, delta = 1, 1.2e4, 11 * 10**11, 0.999
+        M, bound = optimize_M(K, L, N, delta)
+
+        def total(m):
+            return total_bound(BoundParams(K, L, m, N, delta)).total
+
+        lo, hi = _search_range(K, L, N)
+        assert lo < M < hi
+        assert bound.total < total(M - 1)
+        assert bound.total <= total(M + 1)
 
 
 class TestVanishingBound:

@@ -56,6 +56,30 @@ def test_threads_only_on_coverage(command, capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra", [("estimate", []), ("coverage", ["--trials", "2"])]
+)
+def test_bin_count_above_2_53_invalid(command, extra, tmp_path, capsys):
+    code, _, err = run_cli(
+        [command, "--density", "tent", "--k", "1", "--l", "4", "--n", "100", "--delta", "0.1",
+         "--m", str(2**53 + 1), "--seed", "1", "--out", str(tmp_path / "r.csv")] + extra,
+        capsys,
+    )
+    assert code == 2
+    assert err.startswith("error: invalid: M must be at most 2^53")
+    assert len(err.splitlines()) == 1
+
+
+def test_bound_accepts_bin_count_above_2_53(capsys):
+    """bound bins no data, so M is limited only by the validity threshold."""
+    code, out, _ = run_cli(
+        ["bound", "--k", "1", "--l", "4", "--m", str(2**62), "--n", "100", "--delta", "0.1"],
+        capsys,
+    )
+    assert code == 0
+    assert out.startswith("total=")
+
+
 class TestEstimateCommand:
     def test_csv_columns_and_meta(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -159,6 +159,13 @@ class TestDiscreteMiPlugin:
         x, y = adv.sample(3, 2000)
         assert discrete_mi_plugin(x, y, 32) == 0.0
 
+    @pytest.mark.parametrize("M_bins", [0, -3, 2.5])
+    def test_invalid_bin_count_rejected(self, M_bins):
+        from entrobound import discrete_mi_plugin
+
+        with pytest.raises(ValueError, match="M must be an integer >= 1"):
+            discrete_mi_plugin([0.1, 0.6], [1, 2], M_bins)
+
     def test_collision_free_regime_hides_dependence(self):
         """Huge bin count: y is a function of x yet the estimate stays small."""
         from entrobound import discrete_mi_plugin

@@ -8,6 +8,7 @@ import pytest
 from entrobound import (
     OutOfSupportError,
     build_histogram,
+    discrete_mi_plugin,
     estimate_differential_entropy,
     exact_discrete_entropy,
     plugin_entropy,
@@ -44,6 +45,17 @@ class TestQuantizeIndex:
             idx = tuple(int(v) for v in rng.integers(0, M, size=K))
             corner = [i / M for i in idx]
             assert quantize_index(corner, M) == idx
+
+    @pytest.mark.parametrize("M", [2**53 - 1, 2**53])
+    def test_edges_at_largest_bin_counts(self, M):
+        """Bins stay resolved up to M = 2^53: i/M maps to i, the float below it to i - 1."""
+        rng = generator(13)
+        picks = [1, 2, 3, M // 3, M // 2, M // 2 + 1, M - 2, M - 1]
+        for i in picks + [int(v) for v in rng.integers(1, M, size=50)]:
+            corner = i / M
+            assert quantize_index([corner], M) == (i,)
+            assert quantize_index([np.nextafter(corner, 0.0)], M) == (i - 1,)
+        assert quantize_index([1.0], M) == (M - 1,)
 
 
 class TestBuildHistogram:
@@ -146,16 +158,32 @@ def _reference_bin_indices(points, M):
     return idx
 
 
-@pytest.mark.parametrize("M", [1, 2, 3, 7, 10, 7644, 2**40, 2**53 + 4, 3 * 2**60, 2**62])
+def _assert_bin_count_rejected(points, M):
+    """Above 2^53 float64 cannot resolve the bins: every binning entry point refuses M."""
+    with pytest.raises(ValueError, match=r"at most 2\^53"):
+        quantize_index(points[0], M)
+    with pytest.raises(ValueError, match=r"at most 2\^53"):
+        build_histogram(points, M)
+    with pytest.raises(ValueError, match=r"at most 2\^53"):
+        discrete_mi_plugin(points[:, :1], np.ones(len(points), dtype=int), M)
+
+
+@pytest.mark.parametrize(
+    "M", [1, 2, 3, 7, 10, 7644, 2**40, 2**53 - 1, 2**53, 2**53 + 4, 3 * 2**60, 2**62]
+)
 def test_bin_indices_match_integer_reference(M):
     rng = generator(2000 + M % 1000)
     points = rng.choice(_edge_pool(M, rng), size=(3000, 2))
+    if M > 2**53:
+        _assert_bin_count_rejected(points, M)
+        return
     assert np.array_equal(_bin_indices(points, M), _reference_bin_indices(points, M))
 
 
 # (K, M, N): bin edges at K = 1..4 including M = 1; M^K at and just above 4N
 # (dense and sorted counting); N across the quantization block of 2^16 rows;
-# K * log2(M) >= 62, where bins are counted as index rows.
+# K * log2(M) >= 62, where bins are counted as index rows; M above 2^53 is
+# rejected.
 _DIFFERENTIAL_CASES = (
     [(K, M, 300) for K in (1, 2, 3, 4) for M in (1, 2, 3, 7, 10)]
     + [(1, 7644, 300), (2, 100, 300)]
@@ -170,6 +198,9 @@ _DIFFERENTIAL_CASES = (
 def test_counts_match_pointwise_reference(K, M, N):
     rng = generator(1000 + 10 * K + N % 10)
     points = rng.choice(_edge_pool(M, rng), size=(N, K))
+    if M > 2**53:
+        _assert_bin_count_rejected(points, M)
+        return
     hist = build_histogram(points, M)
     assert hist.counts == _reference_counts(points, M)
     assert list(hist.counts) == sorted(hist.counts)  # row-major bin order
