@@ -11,7 +11,11 @@ standard error: ``error: <kind>: <detail>``.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE``); explicit command-line flags override file values.
-The ``coverage`` worker pool is sized by ``--threads``, else ENTROBOUND_THREADS.
+The ``coverage`` trials run on a worker pool sized by ``--threads``, else
+ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
+Every histogram of more than 2^16 rows also quantizes its blocks on a pool of
+ENTROBOUND_THREADS threads, except inside a pooled trial, which stays
+serial.  Output is the same for any thread count.
 """
 from __future__ import annotations
 
@@ -20,9 +24,9 @@ import math
 import csv as _csv
 import os
 import shlex
+import stat
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -40,7 +44,7 @@ from .estimators import (
     mi_adversary_demo,
     prop1_demo,
 )
-from .histogram import _as_points
+from .histogram import _as_points, _default_threads, _map_ordered
 from .oracle import (
     check_density_gap,
     check_entropy_continuity,
@@ -185,18 +189,27 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
     if format == "f64le":
         if k is None:
             raise ValueError("f64le ingestion requires the point dimension k")
-        raw = path.read_bytes()
-        if len(raw) % (8 * k) != 0:
-            raise IngestError(
-                f"{path}: byte length {len(raw)} is not a multiple of 8*k={8 * k}"
-            )
-        arr = np.frombuffer(raw, dtype="<f8").reshape(-1, k)
+        with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            # A regular file is read once, straight into the returned array;
+            # a pipe or device has no size until it has been read.
+            raw = None if stat.S_ISREG(info.st_mode) else bytearray(fh.read())
+            size = info.st_size if raw is None else len(raw)
+            if size % (8 * k) != 0:
+                raise IngestError(
+                    f"{path}: byte length {size} is not a multiple of 8*k={8 * k}"
+                )
+            if raw is None:
+                arr = np.fromfile(fh, dtype="<f8")
+            else:
+                arr = np.frombuffer(raw, dtype="<f8")
+        arr = arr.reshape(-1, k)
         if not np.all(np.isfinite(arr)):
             offset = int(np.argmax(~np.isfinite(arr).all(axis=1)))
             raise IngestError(f"{path}: non-finite value at row {offset}")
         if arr.shape[0] == 0:
             raise IngestError(f"{path}: no data rows")
-        return arr.copy()
+        return arr
     raise ValueError(f"unknown format {format!r} (expected csv or f64le)")
 
 
@@ -238,27 +251,6 @@ def _write_meta(out_path, config: ExperimentConfig, wall_time: float) -> None:
     meta = _config_text(config, ("command",) + _COMMANDS[config.command][1])
     meta += f"version = {__version__}\nwall_time_s = {wall_time:.6f}\n"
     Path(str(out_path) + ".meta").write_text(meta, encoding="utf-8")
-
-
-def _thread_count(config: ExperimentConfig) -> int:
-    if config.threads is not None:
-        return max(1, config.threads)
-    env = os.environ.get("ENTROBOUND_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
-        return max(1, threads)
-    return min(32, os.cpu_count() or 1)
-
-
-def _map_ordered(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1 on a worker pool, collecting in index order."""
-    if threads <= 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +400,8 @@ def _cmd_coverage(config: ExperimentConfig):
             "covered": int(abs_err <= report.bound.total),
         }
 
-    rows = _map_ordered(one_trial, config.trials, _thread_count(config))
+    threads = config.threads if config.threads is not None else _default_threads()
+    rows = _map_ordered(one_trial, config.trials, threads)
     coverage = sum(r["covered"] for r in rows) / config.trials
     rows.append({"row": "summary", "coverage": coverage})
     cols = [
@@ -586,10 +579,11 @@ def _validate_config(config: ExperimentConfig) -> None:
     for name in ("k", "k1", "k2"):
         if getattr(config, name) < 1:
             raise ValueError(f"{name} must be >= 1, got {getattr(config, name)!r}")
-    for name in ("m", "n", "trials"):
+    for name in ("m", "n", "trials", "threads"):
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+    _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):
         raise ValueError(f"format must be csv or f64le, got {config.format!r}")
 

@@ -146,7 +146,9 @@ def estimate_mi_certified(
     ys = _as_points(y_samples)
     if xs.shape[0] != ys.shape[0]:
         raise ValueError(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
-    joint = np.hstack([xs, ys])
+    joint = _adjacent_columns(xs, ys)
+    if joint is None:
+        joint = np.hstack([xs, ys])
     parts = (
         estimate_entropy_certified(xs, L, delta / 3.0, seed=seed),
         estimate_entropy_certified(ys, L, delta / 3.0, seed=seed),
@@ -164,6 +166,27 @@ def estimate_mi_certified(
         kind="mutual_information",
         components=parts,
     )
+
+
+def _adjacent_columns(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
+    """Read-only view of [xs | ys] when ys's columns directly follow xs's.
+
+    That holds for two column ranges of one row-major buffer, as in
+    ``pts[:, :k1], pts[:, k1:]``: both have the same row stride, unit column
+    stride, and ys starts one row-width of xs after xs.  Returns None
+    otherwise, so the caller stacks a copy.  The view reads memory that xs
+    and ys own; it must not outlive them.
+    """
+    item = xs.itemsize
+    if (
+        xs.strides[0] != ys.strides[0]
+        or xs.strides[1] != item
+        or ys.strides[1] != item
+        or ys.ctypes.data != xs.ctypes.data + item * xs.shape[1]
+    ):
+        return None
+    shape = (xs.shape[0], xs.shape[1] + ys.shape[1])
+    return np.lib.stride_tricks.as_strided(xs, shape, (xs.strides[0], item), writeable=False)
 
 
 # ---------------------------------------------------------------------------

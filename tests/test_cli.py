@@ -3,10 +3,13 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from entrobound import histogram
 from entrobound.cli import ExperimentConfig, emit_csv, emit_f64le, ingest, main
 from entrobound.errors import IngestError
 
@@ -200,6 +203,69 @@ class TestCoverageCommand:
         assert code == 2
         assert err.strip() == "error: invalid: ENTROBOUND_THREADS must be an integer, got 'two'"
 
+    def test_pool_does_not_nest(self, tmp_path, capsys, monkeypatch):
+        """Trials on the pool build their 2-block histograms serially."""
+        made = []
+
+        class CountingExecutor(histogram.ThreadPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                made.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(histogram, "ThreadPoolExecutor", CountingExecutor)
+        code, _, _ = run_cli(
+            ["coverage", "--density", "tent", "--k", "1", "--l", "4",
+             "--n", str(2**16 + 1), "--delta", "0.1", "--trials", "3", "--seed", "9",
+             "--threads", "2", "--out", str(tmp_path / "cov.csv")],
+            capsys,
+        )
+        assert code == 0
+        assert made == [2]
+
+
+_COVERAGE_ARGS = ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "100",
+                  "--delta", "0.1", "--trials", "2", "--seed", "9"]
+_ESTIMATE_ARGS = ["estimate", "--density", "tent", "--k", "1", "--l", "4", "--n", "100",
+                  "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_invalid(threads, tmp_path, capsys):
+    out = tmp_path / "cov.csv"
+    code, _, err = run_cli(_COVERAGE_ARGS + ["--threads", threads, "--out", str(out)], capsys)
+    assert code == 2
+    assert err == f"error: invalid: threads must be >= 1, got {threads}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [_COVERAGE_ARGS, _ESTIMATE_ARGS])
+def test_thread_env_below_one_invalid(command, capsys, monkeypatch):
+    monkeypatch.setenv("ENTROBOUND_THREADS", "-2")
+    code, _, err = run_cli(command, capsys)
+    assert code == 2
+    assert err == "error: invalid: ENTROBOUND_THREADS must be >= 1, got '-2'\n"
+
+
+class TestBlockPoolOutputs:
+    """Inputs of more than 2^16 rows quantize their blocks on the pool."""
+
+    @pytest.mark.parametrize("argv", [
+        ["mi-estimate", "--format", "f64le", "--k1", "1", "--k2", "2", "--l", "16"],
+        ["estimate", "--format", "f64le", "--k", "3", "--l", "16"],
+    ])
+    def test_csv_identical_for_any_thread_count(self, argv, tmp_path, capsys, monkeypatch):
+        data = tmp_path / "pts.f64le"
+        emit_f64le(data, np.random.default_rng(21).random((3 * 2**16 + 5, 3)))
+        outputs = []
+        for threads in ("1", "4"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            out = tmp_path / f"r{threads}.csv"
+            code, _, _ = run_cli(argv + ["--input", str(data), "--delta", "0.05",
+                                         "--seed", "2", "--out", str(out)], capsys)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestDemoCommands:
     @pytest.mark.parametrize("command", ["prop1-demo", "mi-demo", "kl-demo"])
@@ -283,6 +349,31 @@ class TestIngest:
         with pytest.raises(IngestError, match="non-finite"):
             ingest(path, "f64le", k=1)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_f64le_matches_buffer_copy(self, k, tmp_path):
+        path = tmp_path / "d.bin"
+        emit_f64le(path, np.random.default_rng(4).random((1000, k)))
+        expected = np.frombuffer(path.read_bytes(), dtype="<f8").reshape(-1, k).copy()
+        got = ingest(path, "f64le", k=k)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+        got[0, 0] = 0.5  # the caller owns the array
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_f64le_from_pipe(self, tmp_path):
+        pts = np.random.default_rng(6).random((5, 2))
+        path = tmp_path / "pipe"
+        os.mkfifo(path)
+        writer = threading.Thread(target=emit_f64le, args=(path, pts), daemon=True)
+        writer.start()
+        try:
+            got = ingest(path, "f64le", k=2)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert np.array_equal(got, pts) and got.flags.writeable
+
     def test_csv_round_trip(self, tmp_path):
         pts = np.random.default_rng(5).random((9, 2))
         path = tmp_path / "d.csv"
@@ -351,3 +442,34 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("total=0.064116")
+
+
+def _f64le_cases(tmp_path):
+    """Bad f64le inputs with the one-line error each produced when ingest
+    read the whole file into a bytes buffer."""
+    short = tmp_path / "short.bin"
+    short.write_bytes(b"\x00" * 20)
+    nan_row = tmp_path / "nan.bin"
+    nan_row.write_bytes(np.array([0.5, 0.5, 0.5, math.nan, 0.5, 0.5]).astype("<f8").tobytes())
+    empty = tmp_path / "empty.bin"
+    empty.write_bytes(b"")
+    directory = tmp_path / "dir.bin"
+    directory.mkdir()
+    with pytest.raises(OSError) as dir_error:
+        Path(directory).read_bytes()
+    return [
+        (short, f"error: io: {short}: byte length 20 is not a multiple of 8*k=16"),
+        (nan_row, f"error: io: {nan_row}: non-finite value at row 1"),
+        (empty, f"error: io: {empty}: no data rows"),
+        (directory, f"error: io: {dir_error.value}"),
+    ]
+
+
+def test_f64le_errors_keep_message_and_exit_code(tmp_path, capsys):
+    for path, message in _f64le_cases(tmp_path):
+        code, out, err = run_cli(
+            ["estimate", "--input", str(path), "--format", "f64le", "--k", "2",
+             "--l", "8", "--delta", "0.1"],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", message + "\n")

@@ -1,4 +1,5 @@
 """Certified estimators, their coverage, and the adversarial demos."""
+import dataclasses
 import math
 import sys
 
@@ -22,6 +23,7 @@ from entrobound import (
     tent_density,
     two_cell_kl_plugin,
 )
+from entrobound.estimators import _adjacent_columns
 from entrobound.rng import generator, split
 
 TENT_H1 = 0.5 - math.log(2.0)
@@ -111,6 +113,102 @@ class TestEstimateMiCertified:
     def test_mismatched_counts(self):
         with pytest.raises(ValueError):
             estimate_mi_certified(np.zeros((5, 1)), np.zeros((6, 1)), 1.0, 0.1)
+
+
+def _report_bits(report):
+    """Every field of a report, floats as float.hex, components included."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in _flatten(
+        dataclasses.astuple(report)))
+
+
+def _flatten(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _flatten(item)
+    else:
+        yield value
+
+
+@pytest.fixture
+def hstack_calls(monkeypatch):
+    """Counts the joint copies estimate_mi_certified makes."""
+    calls = []
+    hstack = np.hstack
+
+    def spy(arrays, *args, **kwargs):
+        calls.append(len(arrays))
+        return hstack(arrays, *args, **kwargs)
+
+    monkeypatch.setattr(np, "hstack", spy)
+    return calls
+
+
+class TestJointView:
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (1, 2), (2, 1)])
+    def test_views_of_one_array_equal_separate_copies(self, k1, k2, hstack_calls):
+        pts = generator(60 + k1).random((5000, k1 + k2))
+        viewed = estimate_mi_certified(pts[:, :k1], pts[:, k1:], 2.0 ** (k1 + k2 + 1), 0.1)
+        assert hstack_calls == []
+        copied = estimate_mi_certified(pts[:, :k1].copy(), pts[:, k1:].copy(),
+                                       2.0 ** (k1 + k2 + 1), 0.1)
+        assert hstack_calls == [2]
+        assert _report_bits(viewed) == _report_bits(copied)
+
+    def test_view_is_read_only_and_equals_the_stack(self):
+        pts = generator(61).random((100, 5))
+        joint = _adjacent_columns(pts[:, 1:3], pts[:, 3:4])
+        assert not joint.flags.writeable
+        assert np.array_equal(joint, pts[:, 1:4])
+        assert np.shares_memory(joint, pts)
+
+    @pytest.mark.parametrize("x_cols, y_cols", [
+        (slice(1, 3), slice(0, 1)),  # y before x
+        (slice(0, 1), slice(2, 3)),  # a column between them
+        (slice(0, 2), slice(1, 3)),  # overlapping columns
+    ])
+    def test_other_layouts_are_stacked(self, x_cols, y_cols, hstack_calls):
+        pts = generator(62).random((3000, 3))
+        xs, ys = pts[:, x_cols], pts[:, y_cols]
+        assert _adjacent_columns(xs, ys) is None
+        report = estimate_mi_certified(xs, ys, 16.0, 0.1)
+        assert hstack_calls == [2]
+        copied = estimate_mi_certified(xs.copy(), ys.copy(), 16.0, 0.1)
+        assert _report_bits(report) == _report_bits(copied)
+
+    def test_row_stride_mismatch_is_stacked(self):
+        pts = generator(63).random((200, 2))
+        assert _adjacent_columns(pts[::2, :1], pts[1::2, 1:]) is None
+        assert _adjacent_columns(pts[:100, :1], pts[:100, 1:]) is not None
+
+
+_BLOCK_NS = [2**16 + 1, 3 * 2**16 + 5]
+
+
+class TestThreadCountInvariance:
+    """Histograms of more than 2^16 rows quantize their blocks on a pool."""
+
+    @pytest.mark.parametrize("N", _BLOCK_NS)
+    @pytest.mark.parametrize("K, M", [(1, None), (2, None), (3, None), (1, 2**22), (2, 2**11),
+                                      (3, 2**8)])
+    def test_entropy_report(self, K, M, N, monkeypatch):
+        pts = generator(70 + K).random((N, K))
+        bits = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            report = estimate_entropy_certified(pts, 2.0 ** (K + 1), 0.1, M=M, seed=4)
+            bits.add(_report_bits(report))
+        assert len(bits) == 1
+
+    @pytest.mark.parametrize("N", _BLOCK_NS)
+    @pytest.mark.parametrize("k1, k2", [(1, 1), (1, 2), (2, 1)])
+    def test_mi_report(self, k1, k2, N, monkeypatch):
+        pts = generator(80 + k1).random((N, k1 + k2))
+        bits = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            report = estimate_mi_certified(pts[:, :k1], pts[:, k1:], 2.0 ** (k1 + k2 + 1), 0.1)
+            bits.add(_report_bits(report))
+        assert len(bits) == 1
 
 
 class TestPinnedEntropyEstimator:

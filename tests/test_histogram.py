@@ -1,6 +1,7 @@
 """Quantization, bin counting, and the plug-in estimate."""
 import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from entrobound import (
     plugin_entropy,
     quantize_index,
 )
-from entrobound.histogram import _bin_indices, _count_entropy
+from entrobound import histogram
+from entrobound.histogram import (
+    _bin_indices,
+    _count_entropy,
+    _default_threads,
+    _map_ordered,
+)
 from entrobound.rng import generator
 
 
@@ -128,6 +135,127 @@ class TestBuildHistogram:
     def test_equality(self):
         pts = generator(12).random((200, 2))
         assert build_histogram(pts, 5) == build_histogram(pts[::-1], 5) != build_histogram(pts, 6)
+
+
+class _CountingExecutor(histogram.ThreadPoolExecutor):
+    """ThreadPoolExecutor that records the worker count of every pool made."""
+
+    made: list = []
+
+    def __init__(self, max_workers, **kwargs):
+        type(self).made.append(max_workers)
+        super().__init__(max_workers, **kwargs)
+
+
+@pytest.fixture
+def executors(monkeypatch):
+    """Worker counts of the pools _map_ordered starts during the test."""
+    monkeypatch.setattr(_CountingExecutor, "made", [])
+    monkeypatch.setattr(histogram, "ThreadPoolExecutor", _CountingExecutor)
+    return _CountingExecutor.made
+
+
+def _hist_bits(hist):
+    return (hist.K, hist.M, hist.N, hist.bins.tobytes(), hist.tally.tobytes(),
+            plugin_entropy(hist).hex())
+
+
+# (K, M): dense bincount (M^K <= 4N), sorted keys (M^K > 4N) and, for the last,
+# index rows (K * log2(M) >= 62).
+_POOL_CASES = [(1, 7644), (2, 329), (3, 64), (1, 2**22), (2, 2**11), (3, 2**8), (3, 2**21)]
+
+
+class TestBlockPool:
+    @pytest.mark.parametrize("N", [2**16 + 1, 3 * 2**16 + 5])
+    @pytest.mark.parametrize("K, M", _POOL_CASES)
+    def test_same_bits_for_any_thread_count(self, K, M, N, monkeypatch):
+        points = generator(3000 + K).random((N, K))
+        results = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            results.append(_hist_bits(build_histogram(points, M)))
+        assert results[0] == results[1] == results[2]
+
+    def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
+        """Blocks write disjoint slices of one key array; none may be lost."""
+        points = generator(3100).random((6 * 2**16 + 7, 2))
+        monkeypatch.setenv("ENTROBOUND_THREADS", "1")
+        serial = _hist_bits(build_histogram(points, 300))
+        monkeypatch.setenv("ENTROBOUND_THREADS", "8")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert _hist_bits(build_histogram(points, 300)) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("threads, blocks, made", [
+        ("1", 4, []), ("3", 4, [3]), ("8", 2, [2]), ("8", 1, []),
+    ])
+    def test_pool_width_is_min_of_blocks_and_threads(self, threads, blocks, made,
+                                                    executors, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+        build_histogram(generator(5).random((blocks * 2**16, 1)), 10)
+        assert executors == made
+
+    def test_two_bad_blocks_name_the_lower_row(self, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", "3")
+        pts = generator(13).random((4 * 2**16, 2))
+        pts[3 * 2**16 + 2, 0] = -0.5
+        pts[2**16 + 5, 1] = 1.5
+        with pytest.raises(OutOfSupportError, match=r"sample 65541 "):
+            build_histogram(pts, 4)
+
+    def test_map_started_on_a_worker_runs_serially(self, executors):
+        def inner(i):
+            return _map_ordered(lambda j: (i, j), 3, 4)
+
+        assert _map_ordered(inner, 4, 2) == [[(i, j) for j in range(3)] for i in range(4)]
+        assert executors == [2]
+
+    def test_first_error_in_index_order_propagates(self):
+        def fail_on_odd(i):
+            if i % 2:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError, match="1"):
+            _map_ordered(fail_on_odd, 6, 3)
+
+
+class TestDefaultThreads:
+    def test_env_wins(self, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", "48")
+        assert _default_threads() == 48
+
+    def test_usable_cpus_capped_at_32(self, monkeypatch):
+        monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
+        monkeypatch.setattr(histogram.os, "sched_getaffinity", lambda pid: set(range(3)),
+                            raising=False)
+        monkeypatch.setattr(histogram.os, "cpu_count", lambda: 64)
+        assert _default_threads() == 3
+        monkeypatch.setattr(histogram.os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert _default_threads() == 32
+
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
+        monkeypatch.delattr(histogram.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(histogram.os, "cpu_count", lambda: 5)
+        assert _default_threads() == 5
+        monkeypatch.setattr(histogram.os, "cpu_count", lambda: None)
+        assert _default_threads() == 1
+
+    @pytest.mark.parametrize("env, message", [
+        ("two", "ENTROBOUND_THREADS must be an integer, got 'two'"),
+        ("0", "ENTROBOUND_THREADS must be >= 1, got '0'"),
+        ("-2", "ENTROBOUND_THREADS must be >= 1, got '-2'"),
+    ])
+    def test_bad_env_rejected(self, env, message, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", env)
+        with pytest.raises(ValueError) as exc:
+            _default_threads()
+        assert str(exc.value) == message
 
 
 def _edge_pool(M, rng):
