@@ -7,7 +7,9 @@ carries timing, so repeated runs with the same config and seed are
 byte-identical.  Exit status is 0 on success, 2 when the requested parameters
 violate a precondition (e.g. a bin count below the validity threshold), and 1
 on I/O or data-format problems.  Errors print one machine-parsable line to
-standard error: ``error: <kind>: <detail>``.
+standard error: ``error: <kind>: <detail>``.  Usage errors (an unknown
+command or option, a missing command, a value of the wrong type) are exit 2
+with one ``error: invalid:`` line.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE``); explicit command-line flags override file values.
@@ -27,7 +29,7 @@ import shlex
 import stat
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,7 +72,7 @@ _DENSITIES = {"tent": tent_density, "uniform": uniform_density}
 
 @dataclass
 class ExperimentConfig:
-    """Flat record of one CLI invocation; round-trips through ``to_text``."""
+    """Flat record of one CLI invocation: the command and its options."""
 
     command: str
     density: str | None = None
@@ -93,15 +95,29 @@ class ExperimentConfig:
     estimator: str | None = None
     threads: int | None = None
 
-    def to_text(self) -> str:
-        return _config_text(self, [f.name for f in fields(self)])
 
-    @classmethod
-    def from_text(cls, text: str) -> "ExperimentConfig":
-        return cls(**parse_config_text(text))
-
-
-_CONFIG_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+# option -> (parser of its value, help text); used for flags and config files.
+_OPTIONS = {
+    "density": (str, "built-in density name (tent, uniform)"),
+    "input": (str, "sample file to ingest instead of sampling a density"),
+    "format": (str, "input format: csv or f64le"),
+    "k": (int, "dimension"),
+    "k1": (int, "dimension of x"),
+    "k2": (int, "dimension of y"),
+    "l": (float, "Lipschitz constant (l1 norm)"),
+    "m": (int, "bins per axis"),
+    "n": (int, "sample count"),
+    "delta": (float, "failure probability"),
+    "c": (float, "target accuracy for demos"),
+    "trials": (int, "number of seeded trials"),
+    "seed": (int, "master seed"),
+    "out": (str, "output CSV path"),
+    "tol": (float, "quadrature tolerance"),
+    "m_list": (str, "comma-separated bin counts"),
+    "pairs": (int, "random pairs for the x log x check"),
+    "estimator": (str, "external estimator command"),
+    "threads": (int, "worker pool size"),
+}
 
 
 def _config_text(config: ExperimentConfig, names) -> str:
@@ -117,18 +133,6 @@ def _config_text(config: ExperimentConfig, names) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coerce(name: str, raw: str):
-    declared = _CONFIG_TYPES.get(name)
-    if declared is None:
-        raise ValueError(f"unknown config key {name!r}")
-    raw = raw.strip()
-    if "int" in declared:
-        return int(raw)
-    if "float" in declared:
-        return float(raw)
-    return raw
-
-
 def parse_config_text(text: str) -> dict:
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -138,7 +142,11 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
-        out[key.strip()] = _coerce(key.strip(), raw)
+        key = key.strip()
+        if key != "command" and key not in _OPTIONS:
+            raise ValueError(f"unknown config key {key!r}")
+        parse = str if key == "command" else _OPTIONS[key][0]
+        out[key] = parse(raw.strip())
     return out
 
 
@@ -248,7 +256,7 @@ def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
 
 
 def _write_meta(out_path, config: ExperimentConfig, wall_time: float) -> None:
-    meta = _config_text(config, ("command",) + _COMMANDS[config.command][1])
+    meta = _config_text(config, ("command",) + _COMMANDS[config.command][2])
     meta += f"version = {__version__}\nwall_time_s = {wall_time:.6f}\n"
     Path(str(out_path) + ".meta").write_text(meta, encoding="utf-8")
 
@@ -278,12 +286,7 @@ def _load_density(config: ExperimentConfig, K: int):
 
 def _entropy_samples(config: ExperimentConfig) -> np.ndarray:
     if config.input is not None:
-        pts = ingest(config.input, config.format, k=config.k)
-        if pts.shape[1] != config.k:
-            raise ValueError(
-                f"input has {pts.shape[1]} columns but --k is {config.k}"
-            )
-        return pts
+        return ingest(config.input, config.format, k=config.k)
     _require(config, "n")
     model = _load_density(config, config.k)
     return sample(model, config.n, config.seed)
@@ -291,39 +294,30 @@ def _entropy_samples(config: ExperimentConfig) -> np.ndarray:
 
 def _cmd_bound(config: ExperimentConfig):
     _require(config, "l", "m", "n", "delta")
-    params = BoundParams(config.k, config.l, config.m, config.n, config.delta)
-    bound = total_bound(params)
-    row = {
-        "k": config.k,
-        "l": config.l,
-        "m": config.m,
-        "n": config.n,
-        "delta": config.delta,
-        "quant_bias": bound.quant_bias,
-        "stat_dev": bound.stat_dev,
-        "emp_bias": bound.emp_bias,
-        "total": bound.total,
-    }
-    cols = list(row)
+    bound = total_bound(BoundParams(config.k, config.l, config.m, config.n, config.delta))
+    row = {"k": config.k, "l": config.l, "m": config.m, "n": config.n, "delta": config.delta,
+           **asdict(bound)}
     line = " ".join(f"{key}={_fmt(row[key])}" for key in ("total", "quant_bias", "stat_dev", "emp_bias"))
-    return cols, [row], line
+    return list(row), [row], line
 
 
 def _cmd_optimize_m(config: ExperimentConfig):
     _require(config, "l", "n", "delta")
     M, bound = optimize_M(config.k, config.l, config.n, config.delta)
-    row = {
-        "k": config.k,
-        "l": config.l,
-        "n": config.n,
-        "delta": config.delta,
-        "M": M,
-        "quant_bias": bound.quant_bias,
-        "stat_dev": bound.stat_dev,
-        "emp_bias": bound.emp_bias,
-        "total": bound.total,
-    }
+    row = {"k": config.k, "l": config.l, "n": config.n, "delta": config.delta, "M": M,
+           **asdict(bound)}
     return list(row), [row], f"M={M} total={_fmt(bound.total)}"
+
+
+def _certificate(report) -> dict:
+    """The leading CSV columns of an estimate: its value and its bound terms."""
+    return {
+        "estimate": report.estimate,
+        "total_bound": report.bound.total,
+        "quant_bias": report.bound.quant_bias,
+        "stat_dev": report.bound.stat_dev,
+        "emp_bias": report.bound.emp_bias,
+    }
 
 
 def _cmd_estimate(config: ExperimentConfig):
@@ -332,15 +326,7 @@ def _cmd_estimate(config: ExperimentConfig):
     report = estimate_entropy_certified(
         pts, config.l, config.delta, M=config.m, seed=config.seed
     )
-    row = {
-        "estimate": report.estimate,
-        "total_bound": report.bound.total,
-        "quant_bias": report.bound.quant_bias,
-        "stat_dev": report.bound.stat_dev,
-        "emp_bias": report.bound.emp_bias,
-        "M": report.params.M,
-        "N": report.params.N,
-    }
+    row = {**_certificate(report), "M": report.params.M, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)} M={report.params.M}"
     return list(row), [row], line
 
@@ -357,17 +343,7 @@ def _cmd_mi_estimate(config: ExperimentConfig):
         ys = sample(_load_density(config, k2), config.n, split(config.seed, 1))
     report = estimate_mi_certified(xs, ys, config.l, config.delta, seed=config.seed)
     m_x, m_y, m_xy = (part.params.M for part in report.components)
-    row = {
-        "estimate": report.estimate,
-        "total_bound": report.bound.total,
-        "quant_bias": report.bound.quant_bias,
-        "stat_dev": report.bound.stat_dev,
-        "emp_bias": report.bound.emp_bias,
-        "m_x": m_x,
-        "m_y": m_y,
-        "m_xy": m_xy,
-        "N": report.params.N,
-    }
+    row = {**_certificate(report), "m_x": m_x, "m_y": m_y, "m_xy": m_xy, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)}"
     return list(row), [row], line
 
@@ -403,18 +379,8 @@ def _cmd_coverage(config: ExperimentConfig):
     threads = config.threads if config.threads is not None else _default_threads()
     rows = _map_ordered(one_trial, config.trials, threads)
     coverage = sum(r["covered"] for r in rows) / config.trials
+    cols = list(rows[0]) + ["coverage"]
     rows.append({"row": "summary", "coverage": coverage})
-    cols = [
-        "row",
-        "trial",
-        "seed",
-        "estimate",
-        "truth",
-        "abs_err",
-        "bound_total",
-        "covered",
-        "coverage",
-    ]
     line = f"coverage={_fmt(coverage)} trials={config.trials} M={M} bound_total={_fmt(bound.total)}"
     return cols, rows, line
 
@@ -425,13 +391,8 @@ def _external_estimator(config: ExperimentConfig):
     return ExternalEstimator(shlex.split(config.estimator))
 
 
-def _cmd_demo(config: ExperimentConfig):
+def _cmd_demo(demo_fn, config: ExperimentConfig):
     _require(config, "c", "delta", "n", "trials")
-    demo_fn = {
-        "prop1-demo": prop1_demo,
-        "mi-demo": mi_adversary_demo,
-        "kl-demo": kl_demo,
-    }[config.command]
     report = demo_fn(
         config.c,
         config.delta,
@@ -534,41 +495,36 @@ def _grid_centers(M: int, K: int) -> np.ndarray:
 # Dispatch
 # ---------------------------------------------------------------------------
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "optimize-m": _cmd_optimize_m,
-    "estimate": _cmd_estimate,
-    "mi-estimate": _cmd_mi_estimate,
-    "coverage": _cmd_coverage,
-    "prop1-demo": _cmd_demo,
-    "mi-demo": _cmd_demo,
-    "kl-demo": _cmd_demo,
-    "verify-lemmas": _cmd_verify_lemmas,
-}
-
 _DEMO_OPTIONS = ("c", "delta", "n", "trials", "seed", "estimator", "out")
-# command -> (help, options it accepts besides --config); the .meta sidecar
-# records exactly these options.
+# command -> (handler, help, options it accepts besides --config); the .meta
+# sidecar records exactly these options.  A demo handler looks its demo up in
+# this module's globals when it runs, so a wrapper rebound there (as the
+# benchmark's tracer does) sees the call.
 _COMMANDS = {
-    "bound": ("evaluate the confidence bound", ("k", "l", "m", "n", "delta", "out", "seed")),
-    "optimize-m": ("bound-minimizing bin count", ("k", "l", "n", "delta", "out", "seed")),
-    "estimate": ("certified entropy estimate",
+    "bound": (_cmd_bound, "evaluate the confidence bound",
+              ("k", "l", "m", "n", "delta", "out", "seed")),
+    "optimize-m": (_cmd_optimize_m, "bound-minimizing bin count",
+                   ("k", "l", "n", "delta", "out", "seed")),
+    "estimate": (_cmd_estimate, "certified entropy estimate",
                  ("density", "input", "format", "k", "l", "m", "n", "delta", "seed", "out")),
-    "mi-estimate": ("certified mutual-information estimate",
+    "mi-estimate": (_cmd_mi_estimate, "certified mutual-information estimate",
                     ("density", "input", "format", "k1", "k2", "l", "n", "delta", "seed", "out")),
-    "coverage": ("empirical coverage experiment",
+    "coverage": (_cmd_coverage, "empirical coverage experiment",
                  ("density", "k", "l", "m", "n", "delta", "trials", "seed", "out", "threads")),
-    "prop1-demo": ("adversarial demonstration: prop1-demo", _DEMO_OPTIONS),
-    "mi-demo": ("adversarial demonstration: mi-demo", _DEMO_OPTIONS),
-    "kl-demo": ("adversarial demonstration: kl-demo", _DEMO_OPTIONS),
-    "verify-lemmas": ("numerical checks of the supporting inequalities",
+    "prop1-demo": (lambda config: _cmd_demo(prop1_demo, config),
+                   "adversarial demonstration: prop1-demo", _DEMO_OPTIONS),
+    "mi-demo": (lambda config: _cmd_demo(mi_adversary_demo, config),
+                "adversarial demonstration: mi-demo", _DEMO_OPTIONS),
+    "kl-demo": (lambda config: _cmd_demo(kl_demo, config),
+                "adversarial demonstration: kl-demo", _DEMO_OPTIONS),
+    "verify-lemmas": (_cmd_verify_lemmas, "numerical checks of the supporting inequalities",
                       ("k", "m_list", "tol", "pairs", "seed", "out")),
 }
 
 
 def _validate_config(config: ExperimentConfig) -> None:
     """Reject parameter values the modules would reject, before any work."""
-    if config.command not in _HANDLERS:
+    if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
     if config.delta is not None and not (0.0 < config.delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {config.delta!r}")
@@ -592,8 +548,7 @@ def run(config: ExperimentConfig) -> int:
     """Execute one configured command; returns the process exit status."""
     started = time.monotonic()
     _validate_config(config)
-    handler = _HANDLERS[config.command]
-    columns, rows, line = handler(config)
+    columns, rows, line = _COMMANDS[config.command][0](config)
     if config.out:
         _write_csv(config.out, columns, rows)
         _write_meta(config.out, config, time.monotonic() - started)
@@ -602,42 +557,25 @@ def run(config: ExperimentConfig) -> int:
     return 0
 
 
-def _add_common(sub, *options: str) -> None:
-    sub.add_argument("--config", type=str, default=None, help="key = value config file")
-    specs = {
-        "density": (str, "built-in density name (tent, uniform)"),
-        "input": (str, "sample file to ingest instead of sampling a density"),
-        "format": (str, "input format: csv or f64le"),
-        "k": (int, "dimension"),
-        "k1": (int, "dimension of x"),
-        "k2": (int, "dimension of y"),
-        "l": (float, "Lipschitz constant (l1 norm)"),
-        "m": (int, "bins per axis"),
-        "n": (int, "sample count"),
-        "delta": (float, "failure probability"),
-        "c": (float, "target accuracy for demos"),
-        "trials": (int, "number of seeded trials"),
-        "seed": (int, "master seed"),
-        "out": (str, "output CSV path"),
-        "tol": (float, "quadrature tolerance"),
-        "m_list": (str, "comma-separated bin counts"),
-        "pairs": (int, "random pairs for the x log x check"),
-        "estimator": (str, "external estimator command"),
-        "threads": (int, "worker pool size"),
-    }
-    for opt in options:
-        typ, helptext = specs[opt]
-        sub.add_argument(f"--{opt.replace('_', '-')}", dest=opt, type=typ, help=helptext)
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, which main prints as one line."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="entrobound",
         description="Histogram differential-entropy estimation with explicit confidence bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (helptext, options) in _COMMANDS.items():
-        _add_common(sub.add_parser(command, help=helptext), *options)
+    for command, (_, helptext, options) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=helptext)
+        cmd.add_argument("--config", type=str, default=None, help="key = value config file")
+        for opt in options:
+            parse, opt_help = _OPTIONS[opt]
+            cmd.add_argument(f"--{opt.replace('_', '-')}", dest=opt, type=parse, help=opt_help)
     return parser
 
 
@@ -674,7 +612,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         provided = {
             key: value for key, value in vars(args).items()
-            if key in _CONFIG_TYPES and value is not None
+            if key != "config" and value is not None
         }
         config = ExperimentConfig(**provided)
         return run(config)

@@ -65,6 +65,16 @@ class QuadratureResult:
     grid_cells: int
 
 
+def _grid_chunks(axes):
+    """Points of the tensor grid over ``axes``, in row-major order, as (n, K)
+    arrays of at most _CHUNK rows."""
+    shape = tuple(len(ax) for ax in axes)
+    total = math.prod(shape)
+    for start in range(0, total, _CHUNK):
+        coords = np.unravel_index(np.arange(start, min(start + _CHUNK, total)), shape)
+        yield np.column_stack([ax[c] for ax, c in zip(axes, coords)])
+
+
 def _midpoint_level(
     integrand: Callable[[np.ndarray], np.ndarray],
     lo: np.ndarray,
@@ -72,20 +82,12 @@ def _midpoint_level(
     m: int,
 ) -> float:
     """Midpoint rule with m cells per axis, evaluated in fixed-size chunks."""
-    K = lo.shape[0]
-    total = m**K
-    shape = (m,) * K
     step = widths / m
-    volume = float(np.prod(step))
+    axes = [lo[k] + (np.arange(m) + 0.5) * step[k] for k in range(lo.shape[0])]
     acc = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.unravel_index(idx, shape)
-        pts = np.empty((idx.shape[0], K))
-        for k in range(K):
-            pts[:, k] = lo[k] + (coords[k] + 0.5) * step[k]
+    for pts in _grid_chunks(axes):
         acc += float(np.sum(integrand(pts)))
-    return acc * volume
+    return acc * float(np.prod(step))
 
 
 def integrate_box(
@@ -182,9 +184,8 @@ def _cell_masses(model: DensityModel, M: int, tol: float = 1e-10) -> np.ndarray:
                 f"cell-mass refinement exceeded the point budget at M={M}, K={K}"
             )
         centers = (np.arange(per_axis) + 0.5) / per_axis
-        mesh = np.meshgrid(*([centers] * K), indexing="ij")
-        pts = np.column_stack([ax.ravel() for ax in mesh])
-        vals = model.pdf(pts).reshape((per_axis,) * K)
+        vals = np.concatenate([model.pdf(pts) for pts in _grid_chunks([centers] * K)])
+        vals = vals.reshape((per_axis,) * K)
         # Average the g^K sub-points inside each of the M^K cells.
         blocked = vals.reshape(sum(((M, g) for _ in range(K)), ()))
         cell_means = blocked.mean(axis=tuple(range(1, 2 * K, 2)))
@@ -257,14 +258,8 @@ def check_density_gap(model: DensityModel, M: int) -> float:
     per_cell = _dimension_guard(model.K)
     companion = quantized_companion(model, M)
     axis = _interior_grid_axis(M, per_cell)
-    K = model.K
-    shape = (axis.shape[0],) * K
-    total = axis.shape[0] ** K
     max_gap = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.unravel_index(idx, shape)
-        pts = np.column_stack([axis[c] for c in coords])
+    for pts in _grid_chunks([axis] * model.K):
         gap = np.abs(model.pdf(pts) - companion.pdf(pts))
         max_gap = max(max_gap, float(gap.max()))
     return max_gap
@@ -287,13 +282,8 @@ def check_sup_bound(model: DensityModel) -> SupBoundCheck:
     _dimension_guard(K)
     n = {1: 65537, 2: 2049, 3: 129}[K]
     axes = [np.linspace(model.support[k, 0], model.support[k, 1], n) for k in range(K)]
-    shape = tuple(len(ax) for ax in axes)
-    total = int(np.prod(shape))
     sup_p = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total))
-        coords = np.unravel_index(idx, shape)
-        pts = np.column_stack([axes[k][coords[k]] for k in range(K)])
+    for pts in _grid_chunks(axes):
         sup_p = max(sup_p, float(model.pdf(pts).max()))
     L = model.lipschitz_L
     if K <= 20:

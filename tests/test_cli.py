@@ -1,4 +1,5 @@
-"""CLI: commands, exit codes, file formats, config round-trips, determinism."""
+"""CLI: commands, exit codes, file formats, config files, determinism."""
+import hashlib
 import math
 import os
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from entrobound import histogram
-from entrobound.cli import ExperimentConfig, emit_csv, emit_f64le, ingest, main
+from entrobound.cli import emit_csv, emit_f64le, ingest, main
 from entrobound.errors import IngestError
 
 
@@ -53,10 +54,31 @@ class TestBoundCommand:
      "verify-lemmas"],
 )
 def test_threads_only_on_coverage(command, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--threads", "2"])
-    assert exc.value.code == 2
-    assert "--threads" in capsys.readouterr().err
+    code, _, err = run_cli([command, "--threads", "2"], capsys)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid:")
+    assert "--threads" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["estimate", "--n", "x"], "error: invalid: argument --n: invalid int value: 'x'\n"),
+    ([], "error: invalid: the following arguments are required: command\n"),
+    (["estimat"], "error: invalid: argument command: invalid choice: 'estimat'"),
+], ids=["bad-int", "no-command", "unknown-command"])
+def test_usage_error_is_one_line(argv, message, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
+    assert len(err.splitlines()) == 1
+
+
+def test_config_key_the_command_does_not_accept(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("tol = 1\n")
+    code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
+    assert code == 2
+    assert err == "error: invalid: unrecognized arguments: --tol 1.0\n"
 
 
 @pytest.mark.parametrize(
@@ -382,13 +404,6 @@ class TestIngest:
 
 
 class TestConfigFile:
-    def test_round_trip(self):
-        config = ExperimentConfig(
-            command="estimate", density="tent", k=1, l=4.0, n=1000,
-            delta=0.1, seed=42, out="r.csv",
-        )
-        assert ExperimentConfig.from_text(config.to_text()) == config
-
     def test_config_drives_run(self, tmp_path, capsys):
         out = tmp_path / "r.csv"
         cfg = tmp_path / "exp.cfg"
@@ -417,6 +432,81 @@ class TestConfigFile:
         code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "config file is for command" in err
+
+
+# Every command's CSV and .meta sidecar, pinned by SHA-256.  The sidecar is
+# hashed without its wall_time_s line, the one line that varies between runs;
+# --out is relative so the recorded path is the same in every run.
+_GOLDEN_RUNS = {
+    "bound": (["bound", "--k", "2", "--l", "2", "--m", "60", "--n", "1000000",
+               "--delta", "0.05"],
+              "01296b1d4ace1dc0d578c52ae16e0a8e1053c11e77bd97e83591d48a067cac61",
+              "c05dc72ebfc1c5937d6c46452754c7656fb1e99ed50c431975452e12aa240d4f"),
+    "optimize-m": (["optimize-m", "--k", "2", "--l", "4", "--n", "100000", "--delta", "0.05"],
+                   "831f41f8b6046f3a9095dbca49e9bc4eaedf1d456f46bf94e96f768cf3d22d3e",
+                   "5a20d295a954afa8901aab9bc0adc2ba9fbc0720b294caabcad0a811c4891be7"),
+    "estimate": (["estimate", "--density", "tent", "--k", "2", "--l", "8", "--n", "5000",
+                  "--delta", "0.1", "--seed", "3"],
+                 "bc724c110bb4cc60e250f77b0f994f138cd7c368a3960d7acf612a902f4ec4b8",
+                 "dee83f760ebf65c14823c58499e56fbd834400f7ff3315f6cc888d5007bd34f7"),
+    "mi-estimate": (["mi-estimate", "--density", "tent", "--k1", "1", "--k2", "2", "--l", "8",
+                     "--n", "5000", "--delta", "0.1", "--seed", "3"],
+                    "f7b547063d6de3a3b3fb0da23f889e67c82592ce5d88b9722b7f29e273051640",
+                    "18ca32aef257f2087a90353c63178d97a0443d4de12b1c7992347a4be249fb92"),
+    "coverage": (["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "2000",
+                  "--delta", "0.1", "--trials", "5", "--seed", "3", "--threads", "2"],
+                 "eb58a571a4f9c7f8d1e7eccecadc2c20395697cc05814a7ab993efa1d1244c1d",
+                 "65a8788b0a2036c34bfb94069835eaf5dc66df9442c9e7649375c15e3724ef04"),
+    "prop1-demo": (["prop1-demo", "--c", "0.5", "--delta", "0.2", "--n", "30",
+                    "--trials", "20", "--seed", "5"],
+                   "4e4879208fbd04932e9ced74cafdd4e237b874c543387a846086bafbacc0dd17",
+                   "2c526ffe9c9a03e1c5125137277c330d96ff42a2cdc292a62f9ddc81cead02c9"),
+    "mi-demo": (["mi-demo", "--c", "0.5", "--delta", "0.2", "--n", "30",
+                 "--trials", "20", "--seed", "5"],
+                "bd029a3d9a3db13cfad18ab721f99172bfbcfd4c8f215dd01d61d734f598e98d",
+                "5482d64abf39e8c8ba8e0604d81696a2f1367a818a04aa0951362572cc364321"),
+    "kl-demo": (["kl-demo", "--c", "0.5", "--delta", "0.2", "--n", "30",
+                 "--trials", "20", "--seed", "5"],
+                "e48bac6288e64b43dfdd453317edf6990d2d922aca8c340edc394c902d590149",
+                "84692c6a2b3a67a62eee17f7cd06ce9a67070b11fdc3bd057f4145893038fc44"),
+    "verify-lemmas": (["verify-lemmas", "--k", "1"],
+                      "e2dfcf46d7fbdfb2ab682b0d3c541d8c8eed2c7d2e26149cbf65b6a1e15d81dc",
+                      "04379f80fb13f0855744d65220ff531879ef6d865c09e12f768c82b6c7142241"),
+}
+# A run driven by a config file that names the command and the output, with a
+# command-line flag overriding one of its values.
+_GOLDEN_CONFIG = (
+    "command = estimate\ndensity = uniform\nk = 3\nl = 2.5\nn = 400\ndelta = 0.05\n"
+    "seed = 11\nout = r.csv\n",
+    ["estimate", "--config", "exp.cfg", "--n", "700"],
+    "088fab88e54e28d8dba9ba7ac814f3d2071703d8efae81800154360948d36ffe",
+    "1d5b9cc8e5c1fade46adc454a329f0600af671f1c03be2b78b575b4ef900c01f",
+)
+
+
+def _output_digests():
+    meta = Path("r.csv.meta").read_text(encoding="utf-8").splitlines(keepends=True)
+    meta = "".join(line for line in meta if not line.startswith("wall_time_s = "))
+    return (hashlib.sha256(Path("r.csv").read_bytes()).hexdigest(),
+            hashlib.sha256(meta.encode("utf-8")).hexdigest())
+
+
+@pytest.mark.parametrize("command", sorted(_GOLDEN_RUNS))
+def test_golden_outputs(command, tmp_path, capsys, monkeypatch):
+    argv, csv_digest, meta_digest = _GOLDEN_RUNS[command]
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(argv + ["--out", "r.csv"], capsys)
+    assert (code, err) == (0, "")
+    assert _output_digests() == (csv_digest, meta_digest)
+
+
+def test_golden_config_run(tmp_path, capsys, monkeypatch):
+    text, argv, csv_digest, meta_digest = _GOLDEN_CONFIG
+    monkeypatch.chdir(tmp_path)
+    Path("exp.cfg").write_text(text, encoding="utf-8")
+    code, _, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert _output_digests() == (csv_digest, meta_digest)
 
 
 class TestDeterminism:

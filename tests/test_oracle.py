@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from entrobound import oracle
 from entrobound import (
     QuadratureError,
     alpha_const,
@@ -124,6 +125,18 @@ class TestQuantizedCompanion:
         p, _ = kl_step_pair(1.0, 1.0)  # supported on [-1, 1)
         with pytest.raises(ValueError):
             quantized_companion(p, 4)
+
+
+@pytest.mark.parametrize("lengths", [(5,), (3, 4), (2, 3, 5)])
+def test_grid_chunks_are_the_row_major_grid(lengths, monkeypatch):
+    """Chunks of 7 points concatenate to the meshgrid, across chunk edges."""
+    monkeypatch.setattr(oracle, "_CHUNK", 7)
+    axes = [np.linspace(0.0, 1.0, n) + k for k, n in enumerate(lengths)]
+    chunks = list(oracle._grid_chunks(axes))
+    assert [c.shape[0] for c in chunks[:-1]] == [7] * (len(chunks) - 1)
+    mesh = np.meshgrid(*axes, indexing="ij")
+    expected = np.column_stack([ax.ravel() for ax in mesh])
+    assert np.array_equal(np.concatenate(chunks), expected)
 
 
 class TestDensityGap:
