@@ -12,12 +12,13 @@ command or option, a missing command, a value of the wrong type) are exit 2
 with one ``error: invalid:`` line.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
-(``--config FILE``); explicit command-line flags override file values.
+(``--config FILE`` or ``--config=FILE``); explicit command-line flags
+override file values.
 The ``coverage`` trials run on a worker pool sized by ``--threads``, else
 ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
-Every histogram of more than 2^16 rows also quantizes its blocks on a pool of
-ENTROBOUND_THREADS threads, except inside a pooled trial, which stays
-serial.  Output is the same for any thread count.
+``mi-estimate`` on more than 2^16 rows runs its three entropy terms on a pool
+of ENTROBOUND_THREADS threads.  Histograms are always built serially, so
+pools never nest.  Output is the same for any thread count.
 """
 from __future__ import annotations
 
@@ -40,13 +41,15 @@ from .densities import sample, tent_density, uniform_density
 from .errors import EntroboundError, IngestError, OutOfSupportError, ValidityError
 from .estimators import (
     ExternalEstimator,
+    _default_threads,
+    _map_ordered,
     estimate_entropy_certified,
     estimate_mi_certified,
     kl_demo,
     mi_adversary_demo,
     prop1_demo,
 )
-from .histogram import _as_points, _default_threads, _map_ordered
+from .histogram import _as_points
 from .oracle import (
     check_density_gap,
     check_entropy_continuity,
@@ -580,15 +583,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE into flags placed before the explicit ones."""
-    if "--config" not in argv:
+    """Expand --config FILE or --config=FILE into flags before the explicit ones."""
+    idx = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    _, eq, path = argv[idx].partition("=")
+    rest = argv[:idx] + argv[idx + 1 :]
+    if not eq and idx < len(rest):
+        path = rest.pop(idx)
+    if not path:
         raise ValueError("--config needs a file path")
-    path = argv[idx + 1]
     data = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    rest = argv[:idx] + argv[idx + 2 :]
     command = rest[0] if rest else data.get("command")
     if command is None:
         raise ValueError("no command given on the command line or in the config file")

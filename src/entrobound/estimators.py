@@ -7,6 +7,10 @@ least 1 - delta.  ``estimate_mi_certified`` applies the same machinery to the
 decomposition I(x; y) = h(x) + h(y) - h(x, y), splitting the failure budget
 delta/3 per term.
 
+The three terms are independent, so on more than 2^16 rows they run on the
+worker pool ``_map_ordered``, which also runs the CLI's ``coverage`` trials;
+nothing else in entrobound runs in parallel, and each histogram is serial.
+
 The demo harnesses construct the distributions on which a fixed estimator
 must fail: a contamination mixture whose entropy sits far from anything the
 samples reveal, a joint law whose mutual information hides in a rare
@@ -23,7 +27,9 @@ sample-row matrix to one float, including external processes (see
 from __future__ import annotations
 
 import math
+import os
 import subprocess
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,7 @@ from .densities import (
 )
 from .errors import EntroboundError
 from .histogram import (
+    _BLOCK_ROWS,
     _as_points,
     _bin_count,
     _bin_indices,
@@ -67,6 +74,39 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+
+# Default pool size cap, when ENTROBOUND_THREADS is unset.
+_MAX_DEFAULT_THREADS = 32
+
+
+def _default_threads() -> int:
+    """Pool size: ENTROBOUND_THREADS if set, else the usable CPUs (at most 32)."""
+    env = os.environ.get("ENTROBOUND_THREADS")
+    if env:
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
+        if threads < 1:
+            raise ValueError(f"ENTROBOUND_THREADS must be >= 1, got {env!r}")
+        return threads
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(_MAX_DEFAULT_THREADS, cpus)
+
+
+def _map_ordered(fn, count: int, threads: int) -> list:
+    """Apply fn to 0..count-1 on a pool of threads, collecting in index order.
+
+    Runs serially for one thread or one item.  The first exception in index
+    order propagates.
+    """
+    if threads <= 1 or count <= 1:
+        return [fn(i) for i in range(count)]
+    with ThreadPoolExecutor(min(threads, count)) as pool:
+        return list(pool.map(fn, range(count)))
 
 
 class EstimatorFailure(EntroboundError):
@@ -149,11 +189,12 @@ def estimate_mi_certified(
     joint = _adjacent_columns(xs, ys)
     if joint is None:
         joint = np.hstack([xs, ys])
-    parts = (
-        estimate_entropy_certified(xs, L, delta / 3.0, seed=seed),
-        estimate_entropy_certified(ys, L, delta / 3.0, seed=seed),
-        estimate_entropy_certified(joint, L, delta / 3.0, seed=seed),
-    )
+    terms = (xs, ys, joint)
+    parts = tuple(_map_ordered(
+        lambda i: estimate_entropy_certified(terms[i], L, delta / 3.0, seed=seed),
+        len(terms),
+        _default_threads() if xs.shape[0] > _BLOCK_ROWS else 1,
+    ))
     h_x, h_y, h_xy = (p.estimate for p in parts)
     quant = sum(p.bound.quant_bias for p in parts)
     stat = sum(p.bound.stat_dev for p in parts)
@@ -332,10 +373,16 @@ def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: 
     over the pilot draws, let ``plant(b)`` return the planted truth and the
     attack draw for trial t, then count the attack trials whose estimate
     misses the truth by more than C and those whose score stays at most b.
-    An ``EstimatorFailure`` in the attack phase counts as a miss and never as
-    "below"; one in the pilot phase propagates.
+    An ``EstimatorFailure`` or a NaN estimate in the attack phase counts as a
+    miss and never as "below"; in the pilot phase either one raises
+    ``EstimatorFailure``.
     """
-    pilot = [score(victim(pilot_draw(t))) for t in range(trials)]
+    pilot = []
+    for t in range(trials):
+        est = victim(pilot_draw(t))
+        if math.isnan(est):
+            raise EstimatorFailure(f"estimator returned NaN on pilot trial {t}")
+        pilot.append(score(est))
     b = float(np.quantile(np.asarray(pilot), 1.0 - delta / 2.0, method="higher"))
     truth, attack_draw = plant(b)
 
@@ -348,7 +395,7 @@ def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: 
         except EstimatorFailure:
             misses += 1
             continue
-        misses += abs(est - truth) > C
+        misses += not abs(est - truth) <= C  # NaN compares false: a miss
         below += score(est) <= b
     return DemoReport(
         trials=trials,

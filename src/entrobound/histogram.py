@@ -11,26 +11,18 @@ M is at most 2^53: beyond it float64 cannot tell neighbouring bin edges
 apart, so binning rejects larger M.
 
 A histogram stores only its occupied bins (at most N) and their counts, as
-two arrays in row-major bin order.  Quantization runs in blocks of 2^16
-rows, each packing its bin indices into row-major integer keys; blocks are
-independent, so they run on a worker pool of ENTROBOUND_THREADS threads
-(default: the CPUs this process may run on, at most 32).  Counting then
-tallies the keys with a dense ``bincount`` only when the grid is small
-(M^K <= 4N), otherwise by sorting them, so memory stays O(N).  Histograms
-are immutable once built and safe to share across threads.
-
-The pool helper ``_map_ordered`` is shared with the CLI's ``coverage``
-trials.  It never nests: a map started on one of its workers runs serially
-on that worker, so a histogram built inside a pooled trial does not start a
-second pool.
+two arrays in row-major bin order.  Quantization runs serially in
+cache-sized blocks of 2^16 rows, each packing its bin indices into row-major
+integer keys.  Counting then tallies the keys with a dense ``bincount`` only
+when the grid is small (M^K <= 4N), otherwise by sorting them, so memory
+stays O(N).  Histograms are immutable once built and safe to share across
+threads; parallelism lives a level up, on whole estimates (see
+``estimators``).
 """
 from __future__ import annotations
 
 import math
-import os
-import threading
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,47 +49,6 @@ _BLOCK_ROWS = 1 << 16
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
 # and the edge fix-ups in _bin_indices are exact integer steps.
 _MAX_BINS = 2**53
-
-# Default pool size cap, when ENTROBOUND_THREADS is unset.
-_MAX_DEFAULT_THREADS = 32
-
-# Marks the worker threads of _map_ordered's pools.
-_pool_worker = threading.local()
-
-
-def _mark_pool_worker() -> None:
-    _pool_worker.active = True
-
-
-def _default_threads() -> int:
-    """Pool size: ENTROBOUND_THREADS if set, else the usable CPUs (at most 32)."""
-    env = os.environ.get("ENTROBOUND_THREADS")
-    if env:
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(f"ENTROBOUND_THREADS must be an integer, got {env!r}") from None
-        if threads < 1:
-            raise ValueError(f"ENTROBOUND_THREADS must be >= 1, got {env!r}")
-        return threads
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(_MAX_DEFAULT_THREADS, cpus)
-
-
-def _map_ordered(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1 on a pool of threads, collecting in index order.
-
-    Runs serially for one thread, one item, or when called on a pool worker.
-    The first exception in index order propagates.
-    """
-    if threads <= 1 or count <= 1 or getattr(_pool_worker, "active", False):
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(min(threads, count), initializer=_mark_pool_worker) as pool:
-        return list(pool.map(fn, range(count)))
-
 
 class _CountsView(Mapping):
     """Read-only bin-index -> count mapping over a histogram's arrays.
@@ -232,9 +183,7 @@ def build_histogram(samples, M: int) -> SparseHistogram:
     # Beyond 62 bits a row-major key would overflow int64: count index rows.
     packed = math.log2(M) * k < 62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
-
-    def fill(b: int) -> None:
-        start = b * _BLOCK_ROWS
+    for start in range(0, n, _BLOCK_ROWS):
         block = points[start:start + _BLOCK_ROWS]
         _check_unit_cube(block, start)
         idx = _bin_indices(block, M)
@@ -246,9 +195,6 @@ def build_histogram(samples, M: int) -> SparseHistogram:
                 key += idx[:, j]
         else:
             keys[start:start + _BLOCK_ROWS] = idx
-
-    blocks = -(-n // _BLOCK_ROWS)
-    _map_ordered(fill, blocks, _default_threads() if blocks > 1 else 1)
     if not packed:
         bins, tally = np.unique(keys, axis=0, return_counts=True)
         return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)

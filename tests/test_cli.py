@@ -10,7 +10,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrobound import histogram
 from entrobound.cli import emit_csv, emit_f64le, ingest, main
 from entrobound.errors import IngestError
 
@@ -225,16 +224,8 @@ class TestCoverageCommand:
         assert code == 2
         assert err.strip() == "error: invalid: ENTROBOUND_THREADS must be an integer, got 'two'"
 
-    def test_pool_does_not_nest(self, tmp_path, capsys, monkeypatch):
+    def test_pool_does_not_nest(self, tmp_path, capsys, executors):
         """Trials on the pool build their 2-block histograms serially."""
-        made = []
-
-        class CountingExecutor(histogram.ThreadPoolExecutor):
-            def __init__(self, max_workers, **kwargs):
-                made.append(max_workers)
-                super().__init__(max_workers, **kwargs)
-
-        monkeypatch.setattr(histogram, "ThreadPoolExecutor", CountingExecutor)
         code, _, _ = run_cli(
             ["coverage", "--density", "tent", "--k", "1", "--l", "4",
              "--n", str(2**16 + 1), "--delta", "0.1", "--trials", "3", "--seed", "9",
@@ -242,7 +233,7 @@ class TestCoverageCommand:
             capsys,
         )
         assert code == 0
-        assert made == [2]
+        assert executors == [2]
 
 
 _COVERAGE_ARGS = ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "100",
@@ -269,7 +260,7 @@ def test_thread_env_below_one_invalid(command, capsys, monkeypatch):
 
 
 class TestBlockPoolOutputs:
-    """Inputs of more than 2^16 rows quantize their blocks on the pool."""
+    """mi-estimate on more than 2^16 rows runs its three terms on the pool."""
 
     @pytest.mark.parametrize("argv", [
         ["mi-estimate", "--format", "f64le", "--k1", "1", "--k2", "2", "--l", "16"],
@@ -425,6 +416,22 @@ class TestConfigFile:
         )
         assert code == 0
         assert out.read_text().splitlines()[1].endswith(",2000")
+
+    def test_equals_form_reads_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k = 1\nl = 4\nm = 100\nn = 1000\ndelta = 0.1\n")
+        outputs = []
+        for flags in (["--config", str(cfg)], [f"--config={cfg}"]):
+            out = tmp_path / f"r{len(outputs)}.csv"
+            code, _, err = run_cli(["bound", *flags, "--out", str(out)], capsys)
+            assert (code, err) == (0, "")
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("flag", ["--config", "--config="])
+    def test_missing_path_rejected(self, flag, capsys):
+        code, _, err = run_cli(["bound", flag], capsys)
+        assert (code, err) == (2, "error: invalid: --config needs a file path\n")
 
     def test_command_mismatch_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

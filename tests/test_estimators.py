@@ -185,7 +185,7 @@ _BLOCK_NS = [2**16 + 1, 3 * 2**16 + 5]
 
 
 class TestThreadCountInvariance:
-    """Histograms of more than 2^16 rows quantize their blocks on a pool."""
+    """MI estimates on more than 2^16 rows run their three terms on a pool."""
 
     @pytest.mark.parametrize("N", _BLOCK_NS)
     @pytest.mark.parametrize("K, M", [(1, None), (2, None), (3, None), (1, 2**22), (2, 2**11),
@@ -209,6 +209,32 @@ class TestThreadCountInvariance:
             report = estimate_mi_certified(pts[:, :k1], pts[:, k1:], 2.0 ** (k1 + k2 + 1), 0.1)
             bits.add(_report_bits(report))
         assert len(bits) == 1
+
+
+class TestTermPool:
+    @pytest.mark.parametrize("N, threads, made", [
+        (2**16 + 1, "1", []), (2**16 + 1, "2", [2]), (2**16 + 1, "3", [3]),
+        (2**16 + 1, "8", [3]), (2**16, "3", []),
+    ])
+    def test_one_pool_of_at_most_three_above_one_block(self, N, threads, made, executors,
+                                                       monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+        pts = generator(90).random((N, 2))
+        estimate_mi_certified(pts[:, :1], pts[:, 1:], 8.0, 0.1)
+        assert executors == made
+
+    def test_x_term_error_comes_first(self, monkeypatch):
+        """The row is outside the cube in x and in the joint: x's error wins."""
+        pts = generator(92).random((2**16 + 1, 3))
+        pts[65536, 0] = 1.5
+        messages = set()
+        for threads in ("1", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            with pytest.raises(OutOfSupportError) as exc:
+                estimate_mi_certified(pts[:, :1], pts[:, 1:], 16.0, 0.1)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert "sample 65536 lies outside [0, 1]^K: [1.5]" in messages.pop()
 
 
 class TestPinnedEntropyEstimator:
@@ -395,6 +421,29 @@ def test_demo_reports_golden(demo, kwargs, expected):
     if "estimator" in kwargs:
         kwargs = dict(kwargs, estimator=kwargs["estimator"]())
     assert demo(**kwargs) == expected
+
+
+class _NanAfter:
+    """Returns 0.0 for its first ``calls`` calls and NaN after them."""
+
+    def __init__(self, calls: int):
+        self.calls = calls
+
+    def __call__(self, rows) -> float:
+        self.calls -= 1
+        return 0.0 if self.calls >= 0 else math.nan
+
+
+class TestNanEstimates:
+    def test_nan_attack_estimate_is_a_miss(self):
+        report = kl_demo(C=0.5, delta=0.2, N=50, trials=20, seed=55, estimator=_NanAfter(20))
+        assert report.failure_fraction == 1.0
+        assert report.below_threshold_fraction == 0.0
+
+    @pytest.mark.parametrize("demo", [prop1_demo, mi_adversary_demo, kl_demo])
+    def test_nan_pilot_estimate_names_the_trial(self, demo):
+        with pytest.raises(EstimatorFailure, match="NaN on pilot trial 3$"):
+            demo(C=0.5, delta=0.2, N=20, trials=10, seed=5, estimator=_NanAfter(3))
 
 
 class TestExternalEstimatorProtocol:

@@ -15,13 +15,9 @@ from entrobound import (
     plugin_entropy,
     quantize_index,
 )
-from entrobound import histogram
-from entrobound.histogram import (
-    _bin_indices,
-    _count_entropy,
-    _default_threads,
-    _map_ordered,
-)
+from entrobound import estimators
+from entrobound.estimators import _default_threads, _map_ordered
+from entrobound.histogram import _bin_indices, _count_entropy
 from entrobound.rng import generator
 
 
@@ -137,24 +133,6 @@ class TestBuildHistogram:
         assert build_histogram(pts, 5) == build_histogram(pts[::-1], 5) != build_histogram(pts, 6)
 
 
-class _CountingExecutor(histogram.ThreadPoolExecutor):
-    """ThreadPoolExecutor that records the worker count of every pool made."""
-
-    made: list = []
-
-    def __init__(self, max_workers, **kwargs):
-        type(self).made.append(max_workers)
-        super().__init__(max_workers, **kwargs)
-
-
-@pytest.fixture
-def executors(monkeypatch):
-    """Worker counts of the pools _map_ordered starts during the test."""
-    monkeypatch.setattr(_CountingExecutor, "made", [])
-    monkeypatch.setattr(histogram, "ThreadPoolExecutor", _CountingExecutor)
-    return _CountingExecutor.made
-
-
 def _hist_bits(hist):
     return (hist.K, hist.M, hist.N, hist.bins.tobytes(), hist.tally.tobytes(),
             plugin_entropy(hist).hex())
@@ -177,7 +155,7 @@ class TestBlockPool:
         assert results[0] == results[1] == results[2]
 
     def test_more_workers_than_cores_with_fast_switching(self, monkeypatch):
-        """Blocks write disjoint slices of one key array; none may be lost."""
+        """The fill is serial: many threads and fast switching change no bit."""
         points = generator(3100).random((6 * 2**16 + 7, 2))
         monkeypatch.setenv("ENTROBOUND_THREADS", "1")
         serial = _hist_bits(build_histogram(points, 300))
@@ -190,14 +168,11 @@ class TestBlockPool:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("threads, blocks, made", [
-        ("1", 4, []), ("3", 4, [3]), ("8", 2, [2]), ("8", 1, []),
-    ])
-    def test_pool_width_is_min_of_blocks_and_threads(self, threads, blocks, made,
-                                                    executors, monkeypatch):
+    @pytest.mark.parametrize("threads", ["1", "3", "8"])
+    def test_build_histogram_starts_no_pool(self, threads, executors, monkeypatch):
         monkeypatch.setenv("ENTROBOUND_THREADS", threads)
-        build_histogram(generator(5).random((blocks * 2**16, 1)), 10)
-        assert executors == made
+        build_histogram(generator(5).random((4 * 2**16, 2)), 10)
+        assert executors == []
 
     def test_two_bad_blocks_name_the_lower_row(self, monkeypatch):
         monkeypatch.setenv("ENTROBOUND_THREADS", "3")
@@ -206,13 +181,6 @@ class TestBlockPool:
         pts[2**16 + 5, 1] = 1.5
         with pytest.raises(OutOfSupportError, match=r"sample 65541 "):
             build_histogram(pts, 4)
-
-    def test_map_started_on_a_worker_runs_serially(self, executors):
-        def inner(i):
-            return _map_ordered(lambda j: (i, j), 3, 4)
-
-        assert _map_ordered(inner, 4, 2) == [[(i, j) for j in range(3)] for i in range(4)]
-        assert executors == [2]
 
     def test_first_error_in_index_order_propagates(self):
         def fail_on_odd(i):
@@ -231,19 +199,19 @@ class TestDefaultThreads:
 
     def test_usable_cpus_capped_at_32(self, monkeypatch):
         monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
-        monkeypatch.setattr(histogram.os, "sched_getaffinity", lambda pid: set(range(3)),
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(3)),
                             raising=False)
-        monkeypatch.setattr(histogram.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 64)
         assert _default_threads() == 3
-        monkeypatch.setattr(histogram.os, "sched_getaffinity", lambda pid: set(range(64)))
+        monkeypatch.setattr(estimators.os, "sched_getaffinity", lambda pid: set(range(64)))
         assert _default_threads() == 32
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delenv("ENTROBOUND_THREADS", raising=False)
-        monkeypatch.delattr(histogram.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(histogram.os, "cpu_count", lambda: 5)
+        monkeypatch.delattr(estimators.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: 5)
         assert _default_threads() == 5
-        monkeypatch.setattr(histogram.os, "cpu_count", lambda: None)
+        monkeypatch.setattr(estimators.os, "cpu_count", lambda: None)
         assert _default_threads() == 1
 
     @pytest.mark.parametrize("env, message", [
