@@ -12,8 +12,12 @@ apart, so binning rejects larger M.
 
 A histogram stores only its occupied bins (at most N) and their counts, as
 two arrays in row-major bin order.  Quantization runs serially in
-cache-sized blocks of 2^16 rows, each packing its bin indices into row-major
-integer keys.  Counting then tallies the keys with a dense ``bincount`` only
+cache-sized blocks of 2^16 rows and, within a block, on one contiguous
+column at a time.  Each column takes a certified floor of x*M, which is the
+bin index except within a few ulps of a bin edge; only the coordinates
+there go through the exact edge fix-up (see ``_bin_indices``).  The column's
+indices are then folded into the block's row-major integer keys.  Counting
+then tallies the keys with a dense ``bincount`` only
 when the grid is small (M^K <= 4N), otherwise by sorting them, so memory
 stays O(N).  Histograms are immutable once built and safe to share across
 threads; parallelism lives a level up, on whole estimates (see
@@ -47,7 +51,8 @@ _BLOCK_ROWS = 1 << 16
 
 # Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
-# and the edge fix-ups in _bin_indices are exact integer steps.
+# and the edge fix-up in _fix_edges takes exact integer steps.  From 2^50 on
+# the certified floor of _bin_indices flags every coordinate as near an edge.
 _MAX_BINS = 2**53
 
 class _CountsView(Mapping):
@@ -137,16 +142,17 @@ def _check_unit_cube(arr: np.ndarray, first: int = 0) -> None:
 def quantize_index(x, M: int) -> BinIndex:
     """Bin index of a single point: coordinate k maps to min(floor(M*x_k), M-1).
 
-    The clamp puts the measure-zero boundary x_k = 1 into the top bin so the
-    bins cover the closed cube.  Bin edges are the correctly rounded values
-    of i/M, so a bin's lower corner always maps back to that bin even when
-    x*M itself rounds across the edge.
+    Exactly: x_k goes to the largest i in [0, M-1] whose edge, the correctly
+    rounded value of i/M, is <= x_k.  So the measure-zero boundary x_k = 1
+    falls into the top bin and the bins cover the closed cube, and a bin's
+    lower corner always maps back to that bin even when x*M itself rounds
+    across the edge.  ``build_histogram`` bins every sample by the same rule
+    through ``_bin_indices``.
     """
     M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     _check_unit_cube(arr.reshape(1, -1))
-    idx = _bin_indices(arr.reshape(1, -1), M)[0]
-    return tuple(int(i) for i in idx)
+    return tuple(int(i) for i in _bin_indices(arr, M))
 
 
 def _bin_count(M) -> int:
@@ -161,16 +167,50 @@ def _bin_count(M) -> int:
 
 
 def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
-    """Bin indices of points in the unit cube; M must pass ``_bin_count``."""
-    idx = points * M
-    np.floor(idx, out=idx)
+    """Bin index of every coordinate of points in [0, 1]; M must pass ``_bin_count``.
+
+    The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
+    fl(i/M) is the correctly rounded edge.  The result has points' shape;
+    ``build_histogram`` passes one contiguous column at a time.
+
+    Certified floor.  Let f = fl(x*M), i = floor(f) and r = f - i, which is
+    exact (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
+    delta <= r <= 1 - delta keep i; the others go through the exact edge
+    fix-up of ``_fix_edges``.  Proof that an unflagged i is what the fix-up
+    would return: |f - xM| <= uM since x <= 1, so
+    i/M + 3u <= x <= (i+1)/M - 3u.  As |fl(j/M) - j/M| <= u for j <= M,
+    fl(i/M) < x < fl((i+1)/M), and fl is monotone, so i is the largest
+    index whose edge is <= x; and i <= M - 1 because i/M < x <= 1.  So the
+    clamp and both +-1 steps leave i unchanged.  The compares on r are
+    exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
+    delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
+    """
+    x = np.ravel(points)  # a view when points is contiguous
+    f = x * M
+    idx = np.floor(f)
+    f -= idx
+    delta = M * 2.0**-51
+    near = f < delta
+    near |= f > 1.0 - delta
+    flagged = np.count_nonzero(near)
+    if flagged * 16 > x.size:  # mostly edges: fix in place, no gather
+        _fix_edges(idx, x, M)
+    elif flagged:
+        rows = np.flatnonzero(near)
+        sub = idx[rows]
+        _fix_edges(sub, x[rows], M)
+        idx[rows] = sub
+    return idx.astype(np.int64).reshape(np.shape(points))
+
+
+def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
+    """Turn idx = floor(fl(x*M)) into the bin rule's index, in place."""
     np.minimum(idx, M - 1, out=idx)
     # floor(x*M) can land one bin off when the product rounds across an
     # edge; fix against the rounded edges i/M themselves.  idx holds exact
     # integers (M <= 2^53), so adding the 0/1 masks is an integer +1 / -1.
-    idx += (idx < M - 1) & ((idx + 1) / M <= points)
-    idx -= idx / M > points
-    return idx.astype(np.int64)
+    idx += (idx < M - 1) & ((idx + 1) / M <= x)
+    idx -= idx / M > x
 
 
 def build_histogram(samples, M: int) -> SparseHistogram:
@@ -185,16 +225,21 @@ def build_histogram(samples, M: int) -> SparseHistogram:
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         block = points[start:start + _BLOCK_ROWS]
-        _check_unit_cube(block, start)
-        idx = _bin_indices(block, M)
-        if packed:
-            key = keys[start:start + _BLOCK_ROWS]
-            key[:] = idx[:, 0]
-            for j in range(1, k):  # Horner: ((i_0 * M + i_1) * M + i_2) ...
+        key = keys[start:start + _BLOCK_ROWS]
+        for j in range(k):
+            # Every elementwise op runs on a contiguous column: on a strided
+            # (B, K) view numpy's inner loops would be K elements long.
+            x = np.ascontiguousarray(block[:, j])
+            if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
+                _check_unit_cube(block, start)  # names the first bad row
+            idx = _bin_indices(x, M)
+            if not packed:
+                key[:, j] = idx
+            elif j == 0:
+                key[:] = idx
+            else:  # Horner: ((i_0 * M + i_1) * M + i_2) ...
                 key *= M
-                key += idx[:, j]
-        else:
-            keys[start:start + _BLOCK_ROWS] = idx
+                key += idx
     if not packed:
         bins, tally = np.unique(keys, axis=0, return_counts=True)
         return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)

@@ -1,7 +1,13 @@
 """Fixtures shared by the test modules."""
 import pytest
+from hypothesis import settings
 
 from entrobound import estimators
+
+# Property tests draw the same examples on every run, so tier-1 stays
+# deterministic; no per-example deadline, as timing varies between hosts.
+settings.register_profile("entrobound", derandomize=True, deadline=None)
+settings.load_profile("entrobound")
 
 
 @pytest.fixture

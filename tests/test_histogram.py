@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from entrobound import (
     OutOfSupportError,
@@ -15,7 +18,7 @@ from entrobound import (
     plugin_entropy,
     quantize_index,
 )
-from entrobound import estimators
+from entrobound import estimators, histogram
 from entrobound.estimators import _default_threads, _map_ordered
 from entrobound.histogram import _bin_indices, _count_entropy
 from entrobound.rng import generator
@@ -304,6 +307,179 @@ def test_counts_match_pointwise_reference(K, M, N):
     # the entropy of the counts read back through the mapping, bit for bit
     reference = _count_entropy(np.fromiter(hist.counts.values(), float), N)
     assert plugin_entropy(hist) == reference
+
+
+# Every bin count float64 resolves, [1, 2^53], with each bit length equally
+# likely: uniform draws would almost all lie above 2^50, where every element
+# takes the edge fix-up.
+_BIN_COUNTS = st.integers(0, 52).flatmap(lambda b: st.integers(2**b, 2**(b + 1)))
+
+
+def _padded(x, rng, pad):
+    """x followed by pad times as many random floats in [0, 1).
+
+    Random floats almost never lie near a bin edge below M = 2^50, so with
+    pad = 16 at most 1/17 of the elements are flagged and the edge fix-up
+    runs on a gather of them; with pad = 0, x of edges and their neighbours
+    is mostly flagged and the fix-up runs on the whole array.
+    """
+    return np.concatenate([x, rng.random(pad * x.size)])
+
+
+@pytest.mark.parametrize("pad", [0, 16])
+@given(M=_BIN_COUNTS, seed=st.integers(0, 2**32 - 1))
+def test_edges_map_to_their_bins(pad, M, seed):
+    """i/M goes to bin i, the float below (i+1)/M to i, and 1.0 to the top bin."""
+    rng = generator(seed)
+    i = np.concatenate([[0, M - 1], rng.integers(0, M, size=64)])
+    for x in (i / M, np.nextafter((i + 1) / M, -np.inf)):
+        assert np.array_equal(_bin_indices(_padded(x, rng, pad), M)[:i.size], i)
+    assert _bin_indices(_padded(np.array([1.0]), rng, pad), M)[0] == M - 1
+
+
+@pytest.mark.parametrize("pad", [0, 16])
+@given(M=_BIN_COUNTS,
+       x=hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1.0)))
+def test_bin_indices_match_reference_on_any_floats(pad, M, x):
+    x = _padded(x, generator(M), pad)
+    assert np.array_equal(_bin_indices(x, M), _reference_bin_indices(x, M))
+
+
+@pytest.mark.parametrize("pad", [0, 16])
+@given(M=_BIN_COUNTS, seed=st.integers(0, 2**32 - 1))
+def test_bin_indices_match_reference_near_edges(pad, M, seed):
+    """Edges i/M and their neighbours up to three floats away on either side."""
+    rng = generator(seed)
+    i = np.concatenate([[0, 1, M - 1, M], rng.integers(0, M + 1, size=64)])
+    steps = rng.integers(-3, 4, size=i.size)
+    x = i / M
+    for s in range(3):
+        x = np.where(steps > s, np.nextafter(x, 2.0), x)
+        x = np.where(steps < -s, np.nextafter(x, -1.0), x)
+    x = _padded(np.clip(x, 0.0, 1.0), rng, pad)
+    assert np.array_equal(_bin_indices(x, M), _reference_bin_indices(x, M))
+
+
+def _assert_matches_references(points, M):
+    """Same bins and tally as the contiguous copy and as the reference rule."""
+    hist = build_histogram(points, M)
+    copy = build_histogram(np.array(points, order="C"), M)
+    bins, tally = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
+    assert np.array_equal(hist.bins, copy.bins) and np.array_equal(hist.tally, copy.tally)
+    assert np.array_equal(hist.bins, bins) and np.array_equal(hist.tally, tally)
+
+
+_LAYOUTS = {
+    "y term": lambda p: p[:, 1:3],
+    "every other column": lambda p: p[:, ::2],
+    "fortran order": np.asfortranarray,
+    "reversed rows": lambda p: p[::-1],
+    "reversed rows and columns": lambda p: p[::-1, ::-1],
+}
+
+
+@pytest.mark.parametrize("N", [2**16 - 1, 2**16 + 1])
+@pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+def test_layouts_match_contiguous_and_reference(layout, N):
+    """Strided, Fortran-order and negative-stride inputs quantize like a copy."""
+    rng = generator(4000 + N % 10)
+    M = 329
+    pool = np.concatenate([_edge_pool(M, rng), rng.random(400)])
+    points = _LAYOUTS[layout](rng.choice(pool, size=(N, 4)))
+    _assert_matches_references(points, M)
+
+
+@pytest.fixture
+def fixed(monkeypatch):
+    """Sizes of the arrays handed to the edge fix-up, in call order."""
+    sizes = []
+    fix = histogram._fix_edges
+
+    def spy(idx, x, M):
+        sizes.append(idx.size)
+        fix(idx, x, M)
+
+    monkeypatch.setattr(histogram, "_fix_edges", spy)
+    return sizes
+
+
+class TestFlaggedColumns:
+    def test_no_flags_skip_the_fix_up(self, fixed):
+        points = generator(4100).random((2**16 + 1, 2))
+        _assert_matches_references(points, 10)
+        assert fixed == []
+
+    def test_few_flags_are_gathered(self, fixed):
+        points = generator(4101).random((2**16 + 1, 2))
+        points[[5, 100], 0] = 0.3  # 0.3 * 10 rounds within an ulp of the edge 3
+        points[2**16, 0] = 1.0
+        build_histogram(points, 10)
+        assert fixed == [2, 1]  # block 0 column 0, block 1 column 0
+        _assert_matches_references(points, 10)
+
+    @pytest.mark.parametrize("M", [7, 72])
+    def test_many_flags_fix_the_whole_column(self, M, fixed):
+        rng = generator(4102 + M)
+        points = rng.choice(_edge_pool(M, rng), size=(2**16 - 1, 3))
+        build_histogram(points, M)
+        assert fixed == [2**16 - 1] * 3
+        _assert_matches_references(points, M)
+
+    def test_all_zeros_fix_the_whole_column(self, fixed):
+        points = np.zeros((2**16 + 1, 2))
+        hist = build_histogram(points, 72)
+        assert fixed == [2**16, 2**16, 1, 1]
+        assert hist.bins.tolist() == [[0, 0]] and hist.tally.tolist() == [2**16 + 1]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "reversed rows"])
+def test_index_rows_path_matches_reference(layout):
+    """K * log2(M) >= 62 counts index rows; each column is stored into its own key column."""
+    rng = generator(4200)
+    M = 2**21
+    points = rng.choice(_edge_pool(M, rng), size=(2**16 + 1, 4))[:, 1:]
+    if layout == "reversed rows":
+        points = points[::-1]
+    _assert_matches_references(points, M)
+
+
+def _cube_message(row, values):
+    return (f"sample {row} lies outside [0, 1]^K: {values}; "
+            "rescale the data first (affine_rescale)")
+
+
+class TestOutOfCube:
+    """Rows of 2^16 + 1 points: the bad rows sit in the second block."""
+
+    @pytest.mark.parametrize("value, shown", [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float(np.nextafter(1.0, 2.0)), "1.0000000000000002"),
+        (-5e-324, "-5e-324"),
+    ])
+    def test_rejected_value_names_row_and_values(self, value, shown):
+        points = generator(4300).random((2**16 + 1, 3))
+        points[2**16] = [0.25, 0.5, value]
+        with pytest.raises(OutOfSupportError) as exc:
+            build_histogram(points, 4)
+        assert str(exc.value) == _cube_message(65536, f"[0.25, 0.5, {shown}]")
+
+    def test_first_bad_row_wins_over_earlier_column(self):
+        """Column 0 is checked first, but the error names the earlier row r."""
+        points = generator(4301).random((2**16 + 10, 3))
+        points[2**16 + 2] = [0.25, 0.5, 1.5]
+        points[2**16 + 7] = [-0.5, 0.5, 0.25]
+        with pytest.raises(OutOfSupportError) as exc:
+            build_histogram(points, 4)
+        assert str(exc.value) == _cube_message(65538, "[0.25, 0.5, 1.5]")
+
+    def test_negative_zero_and_one_accepted(self):
+        points = generator(4302).random((2**16 + 1, 3))
+        points[2**16] = [-0.0, 1.0, -0.0]
+        points[3] = [1.0, -0.0, 1.0]
+        _assert_matches_references(points, 4)
+        counts = build_histogram(points, 4).counts
+        assert counts[(0, 3, 0)] >= 1 and counts[(3, 0, 3)] >= 1
 
 
 class TestPluginEntropy:
