@@ -14,10 +14,10 @@ A histogram stores only its occupied bins (at most N) and their counts, as
 two arrays in row-major bin order.  Quantization runs serially in
 cache-sized blocks of 2^16 rows and, within a block, on one contiguous
 column at a time.  Each column takes a certified floor of x*M, which is the
-bin index except within a few ulps of a bin edge; only the coordinates
-there go through the exact edge fix-up (see ``_bin_indices``).  The column's
-indices are then folded into the block's row-major integer keys.  Counting
-then tallies the keys with a dense ``bincount`` only
+bin index except within a few ulps of a bin edge; only a column with a
+coordinate there goes through the exact edge fix-up (see ``_bin_indices``).
+The column's indices are then folded into the block's row-major integer
+keys.  Counting then tallies the keys with a dense ``bincount`` only
 when the grid is small (M^K <= 4N), otherwise by sorting them, so memory
 stays O(N).  Histograms are immutable once built and safe to share across
 threads; parallelism lives a level up, on whole estimates (see
@@ -184,6 +184,10 @@ def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
     clamp and both +-1 steps leave i unchanged.  The compares on r are
     exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
     delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
+
+    The fix-up runs on the whole array when any element is flagged: it
+    leaves unflagged elements as they are, and random data below M = 2^50
+    is almost never flagged at all.
     """
     x = np.ravel(points)  # a view when points is contiguous
     f = x * M
@@ -192,14 +196,8 @@ def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
     delta = M * 2.0**-51
     near = f < delta
     near |= f > 1.0 - delta
-    flagged = np.count_nonzero(near)
-    if flagged * 16 > x.size:  # mostly edges: fix in place, no gather
+    if near.any():
         _fix_edges(idx, x, M)
-    elif flagged:
-        rows = np.flatnonzero(near)
-        sub = idx[rows]
-        _fix_edges(sub, x[rows], M)
-        idx[rows] = sub
     return idx.astype(np.int64).reshape(np.shape(points))
 
 

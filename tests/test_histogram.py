@@ -319,9 +319,9 @@ def _padded(x, rng, pad):
     """x followed by pad times as many random floats in [0, 1).
 
     Random floats almost never lie near a bin edge below M = 2^50, so with
-    pad = 16 at most 1/17 of the elements are flagged and the edge fix-up
-    runs on a gather of them; with pad = 0, x of edges and their neighbours
-    is mostly flagged and the fix-up runs on the whole array.
+    pad = 16 at most 1/17 of the elements are flagged, and the edge fix-up,
+    which runs on the whole array, must leave the unflagged ones as they are;
+    with pad = 0, x of edges and their neighbours is mostly flagged.
     """
     return np.concatenate([x, rng.random(pad * x.size)])
 
@@ -409,12 +409,12 @@ class TestFlaggedColumns:
         _assert_matches_references(points, 10)
         assert fixed == []
 
-    def test_few_flags_are_gathered(self, fixed):
+    def test_few_flags_fix_the_whole_column(self, fixed):
         points = generator(4101).random((2**16 + 1, 2))
         points[[5, 100], 0] = 0.3  # 0.3 * 10 rounds within an ulp of the edge 3
         points[2**16, 0] = 1.0
         build_histogram(points, 10)
-        assert fixed == [2, 1]  # block 0 column 0, block 1 column 0
+        assert fixed == [2**16, 1]  # block 0 column 0, block 1 column 0
         _assert_matches_references(points, 10)
 
     @pytest.mark.parametrize("M", [7, 72])
