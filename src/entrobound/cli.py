@@ -13,7 +13,8 @@ with one ``error: invalid:`` line.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE`` or ``--config=FILE``); explicit command-line flags
-override file values.
+override file values.  A file may also name the command (``command = bound``);
+the command line may then start with flags (``--config exp.cfg --n 2000``).
 The ``coverage`` trials run on a worker pool sized by ``--threads``, else
 ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
 ``mi-estimate`` on more than 2^16 rows runs its three entropy terms on a pool
@@ -30,7 +31,7 @@ import shlex
 import stat
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +64,7 @@ from .oracle import (
 )
 from .rng import generator, split
 
-__all__ = ["ExperimentConfig", "run", "main", "ingest", "emit_f64le", "emit_csv"]
+__all__ = ["run", "main", "ingest", "emit_f64le", "emit_csv"]
 
 _DENSITIES = {"tent": tent_density, "uniform": uniform_density}
 
@@ -73,67 +74,34 @@ _DENSITIES = {"tent": tent_density, "uniform": uniform_density}
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExperimentConfig:
-    """Flat record of one CLI invocation: the command and its options."""
-
-    command: str
-    density: str | None = None
-    input: str | None = None
-    format: str = "csv"
-    k: int = 1
-    k1: int = 1
-    k2: int = 1
-    l: float | None = None
-    m: int | None = None
-    n: int | None = None
-    delta: float | None = None
-    c: float | None = None
-    trials: int | None = None
-    seed: int = 0
-    out: str | None = None
-    tol: float | None = None
-    m_list: str = "8,16,32"
-    pairs: int = 1000000
-    estimator: str | None = None
-    threads: int | None = None
-
-
-# option -> (parser of its value, help text); used for flags and config files.
+# option -> (parser of its value, default, help text); used for flags, config
+# files and the defaults of every command's record.  None means unset.
 _OPTIONS = {
-    "density": (str, "built-in density name (tent, uniform)"),
-    "input": (str, "sample file to ingest instead of sampling a density"),
-    "format": (str, "input format: csv or f64le"),
-    "k": (int, "dimension"),
-    "k1": (int, "dimension of x"),
-    "k2": (int, "dimension of y"),
-    "l": (float, "Lipschitz constant (l1 norm)"),
-    "m": (int, "bins per axis"),
-    "n": (int, "sample count"),
-    "delta": (float, "failure probability"),
-    "c": (float, "target accuracy for demos"),
-    "trials": (int, "number of seeded trials"),
-    "seed": (int, "master seed"),
-    "out": (str, "output CSV path"),
-    "tol": (float, "quadrature tolerance"),
-    "m_list": (str, "comma-separated bin counts"),
-    "pairs": (int, "random pairs for the x log x check"),
-    "estimator": (str, "external estimator command"),
-    "threads": (int, "worker pool size"),
+    "density": (str, None, "built-in density name (tent, uniform)"),
+    "input": (str, None, "sample file to ingest instead of sampling a density"),
+    "format": (str, "csv", "input format: csv or f64le"),
+    "k": (int, 1, "dimension"),
+    "k1": (int, 1, "dimension of x"),
+    "k2": (int, 1, "dimension of y"),
+    "l": (float, None, "Lipschitz constant (l1 norm)"),
+    "m": (int, None, "bins per axis"),
+    "n": (int, None, "sample count"),
+    "delta": (float, None, "failure probability"),
+    "c": (float, None, "target accuracy for demos"),
+    "trials": (int, None, "number of seeded trials"),
+    "seed": (int, 0, "master seed"),
+    "out": (str, None, "output CSV path"),
+    "tol": (float, None, "quadrature tolerance"),
+    "m_list": (str, "8,16,32", "comma-separated bin counts"),
+    "pairs": (int, 1000000, "random pairs for the x log x check"),
+    "estimator": (str, None, "external estimator command"),
+    "threads": (int, None, "worker pool size"),
 }
 
 
-def _config_text(config: ExperimentConfig, names) -> str:
-    lines = []
-    for name in names:
-        value = getattr(config, name)
-        if value is None:
-            continue
-        if isinstance(value, float):
-            lines.append(f"{name} = {value:.17g}")
-        else:
-            lines.append(f"{name} = {value}")
-    return "\n".join(lines) + "\n"
+def _config_text(config: argparse.Namespace, names) -> str:
+    values = ((name, getattr(config, name)) for name in names)
+    return "".join(f"{name} = {_fmt(value)}\n" for name, value in values if value is not None)
 
 
 def parse_config_text(text: str) -> dict:
@@ -258,7 +226,7 @@ def _write_csv(path, columns: list[str], rows: list[dict]) -> None:
             writer.writerow([_fmt(row.get(col, "")) for col in columns])
 
 
-def _write_meta(out_path, config: ExperimentConfig, wall_time: float) -> None:
+def _write_meta(out_path, config: argparse.Namespace, wall_time: float) -> None:
     meta = _config_text(config, ("command",) + _COMMANDS[config.command][2])
     meta += f"version = {__version__}\nwall_time_s = {wall_time:.6f}\n"
     Path(str(out_path) + ".meta").write_text(meta, encoding="utf-8")
@@ -269,13 +237,13 @@ def _write_meta(out_path, config: ExperimentConfig, wall_time: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _require(config: ExperimentConfig, *names: str) -> None:
+def _require(config: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise ValueError(f"{config.command}: missing required option --{name}")
 
 
-def _load_density(config: ExperimentConfig, K: int):
+def _load_density(config: argparse.Namespace, K: int):
     if config.density is None:
         raise ValueError(f"{config.command}: requires --density")
     try:
@@ -287,7 +255,7 @@ def _load_density(config: ExperimentConfig, K: int):
     return factory(K)
 
 
-def _entropy_samples(config: ExperimentConfig) -> np.ndarray:
+def _entropy_samples(config: argparse.Namespace) -> np.ndarray:
     if config.input is not None:
         return ingest(config.input, config.format, k=config.k)
     _require(config, "n")
@@ -295,7 +263,7 @@ def _entropy_samples(config: ExperimentConfig) -> np.ndarray:
     return sample(model, config.n, config.seed)
 
 
-def _cmd_bound(config: ExperimentConfig):
+def _cmd_bound(config: argparse.Namespace):
     _require(config, "l", "m", "n", "delta")
     bound = total_bound(BoundParams(config.k, config.l, config.m, config.n, config.delta))
     row = {"k": config.k, "l": config.l, "m": config.m, "n": config.n, "delta": config.delta,
@@ -304,7 +272,7 @@ def _cmd_bound(config: ExperimentConfig):
     return list(row), [row], line
 
 
-def _cmd_optimize_m(config: ExperimentConfig):
+def _cmd_optimize_m(config: argparse.Namespace):
     _require(config, "l", "n", "delta")
     M, bound = optimize_M(config.k, config.l, config.n, config.delta)
     row = {"k": config.k, "l": config.l, "n": config.n, "delta": config.delta, "M": M,
@@ -323,7 +291,7 @@ def _certificate(report) -> dict:
     }
 
 
-def _cmd_estimate(config: ExperimentConfig):
+def _cmd_estimate(config: argparse.Namespace):
     _require(config, "l", "delta")
     pts = _entropy_samples(config)
     report = estimate_entropy_certified(
@@ -334,7 +302,7 @@ def _cmd_estimate(config: ExperimentConfig):
     return list(row), [row], line
 
 
-def _cmd_mi_estimate(config: ExperimentConfig):
+def _cmd_mi_estimate(config: argparse.Namespace):
     _require(config, "l", "delta")
     k1, k2 = config.k1, config.k2
     if config.input is not None:
@@ -351,7 +319,7 @@ def _cmd_mi_estimate(config: ExperimentConfig):
     return list(row), [row], line
 
 
-def _cmd_coverage(config: ExperimentConfig):
+def _cmd_coverage(config: argparse.Namespace):
     _require(config, "l", "n", "delta", "trials")
     model = _load_density(config, config.k)
     if model.analytic_entropy is None:
@@ -388,13 +356,13 @@ def _cmd_coverage(config: ExperimentConfig):
     return cols, rows, line
 
 
-def _external_estimator(config: ExperimentConfig):
+def _external_estimator(config: argparse.Namespace):
     if config.estimator is None:
         return None
     return ExternalEstimator(shlex.split(config.estimator))
 
 
-def _cmd_demo(demo_fn, config: ExperimentConfig):
+def _cmd_demo(demo_fn, config: argparse.Namespace):
     _require(config, "c", "delta", "n", "trials")
     report = demo_fn(
         config.c,
@@ -422,7 +390,7 @@ def _cmd_demo(demo_fn, config: ExperimentConfig):
     return list(row), [row], line
 
 
-def _cmd_verify_lemmas(config: ExperimentConfig):
+def _cmd_verify_lemmas(config: argparse.Namespace):
     K = config.k
     tent = tent_density(K)
     L = tent.lipschitz_L
@@ -525,7 +493,7 @@ _COMMANDS = {
 }
 
 
-def _validate_config(config: ExperimentConfig) -> None:
+def _validate_config(config: argparse.Namespace) -> None:
     """Reject parameter values the modules would reject, before any work."""
     if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
@@ -535,10 +503,7 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"l must be positive, got {config.l!r}")
     if config.c is not None and not (config.c > 0.0):
         raise ValueError(f"c must be positive, got {config.c!r}")
-    for name in ("k", "k1", "k2"):
-        if getattr(config, name) < 1:
-            raise ValueError(f"{name} must be >= 1, got {getattr(config, name)!r}")
-    for name in ("m", "n", "trials", "threads"):
+    for name in ("k", "k1", "k2", "m", "n", "trials", "threads", "pairs"):
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
@@ -547,8 +512,12 @@ def _validate_config(config: ExperimentConfig) -> None:
         raise ValueError(f"format must be csv or f64le, got {config.format!r}")
 
 
-def run(config: ExperimentConfig) -> int:
-    """Execute one configured command; returns the process exit status."""
+def run(config: argparse.Namespace) -> int:
+    """Execute one parsed command line; returns the process exit status.
+
+    ``config`` is what ``build_parser().parse_args`` returns: the command and
+    every option in ``_OPTIONS``, each at its default unless it was given.
+    """
     started = time.monotonic()
     _validate_config(config)
     columns, rows, line = _COMMANDS[config.command][0](config)
@@ -573,11 +542,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Histogram differential-entropy estimation with explicit confidence bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {name: default for name, (_, default, _) in _OPTIONS.items()}
     for command, (_, helptext, options) in _COMMANDS.items():
         cmd = sub.add_parser(command, help=helptext)
+        # Every option, accepted or not, gets its default: _validate_config
+        # reads k1, k2 and format for every command.
+        cmd.set_defaults(**defaults)
         cmd.add_argument("--config", type=str, default=None, help="key = value config file")
         for opt in options:
-            parse, opt_help = _OPTIONS[opt]
+            parse, _, opt_help = _OPTIONS[opt]
             cmd.add_argument(f"--{opt.replace('_', '-')}", dest=opt, type=parse, help=opt_help)
     return parser
 
@@ -594,12 +567,14 @@ def _merge_config_file(argv: list[str]) -> list[str]:
     if not path:
         raise ValueError("--config needs a file path")
     data = parse_config_text(Path(path).read_text(encoding="utf-8"))
-    command = rest[0] if rest else data.get("command")
+    # The first remaining token is the command unless it is a flag.
+    given = rest.pop(0) if rest and not rest[0].startswith("-") else None
+    command = data.get("command") if given is None else given
     if command is None:
         raise ValueError("no command given on the command line or in the config file")
-    if "command" in data and rest and data["command"] != rest[0]:
+    if "command" in data and given is not None and data["command"] != given:
         raise ValueError(
-            f"config file is for command {data['command']!r}, not {rest[0]!r}"
+            f"config file is for command {data['command']!r}, not {given!r}"
         )
     flags: list[str] = []
     for key, value in data.items():
@@ -607,20 +582,14 @@ def _merge_config_file(argv: list[str]) -> list[str]:
             continue
         flags.append(f"--{key.replace('_', '-')}")
         flags.append(str(value))
-    return [command] + flags + rest[1:]
+    return [command] + flags + rest
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _merge_config_file(argv)
-        args = build_parser().parse_args(argv)
-        provided = {
-            key: value for key, value in vars(args).items()
-            if key != "config" and value is not None
-        }
-        config = ExperimentConfig(**provided)
-        return run(config)
+        return run(build_parser().parse_args(argv))
     except ValidityError as exc:
         print(f"error: validity: {exc}", file=sys.stderr)
         return 2

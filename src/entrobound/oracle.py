@@ -286,12 +286,7 @@ def check_sup_bound(model: DensityModel) -> SupBoundCheck:
     for pts in _grid_chunks(axes):
         sup_p = max(sup_p, float(model.pdf(pts).max()))
     L = model.lipschitz_L
-    if K <= 20:
-        bound = (L**K * math.factorial(K + 1) / 2**K) ** (1.0 / (K + 1))
-    else:
-        bound = math.exp(
-            (K * math.log(L) + math.lgamma(K + 2) - K * math.log(2.0)) / (K + 1)
-        )
+    bound = (L**K * math.factorial(K + 1) / 2**K) ** (1.0 / (K + 1))
     return SupBoundCheck(sup_p=sup_p, bound=bound)
 
 

@@ -305,6 +305,14 @@ class TestVerifyLemmas:
         assert len(lines) > 10
         assert all(line.endswith("true") for line in lines[1:])
 
+    @pytest.mark.parametrize("in_config", [False, True])
+    def test_pairs_below_one_invalid(self, in_config, tmp_path, capsys):
+        cfg = tmp_path / "lem.cfg"
+        cfg.write_text("pairs = 0\n")
+        flags = ["--config", str(cfg)] if in_config else ["--pairs", "0"]
+        code, _, err = run_cli(["verify-lemmas", *flags], capsys)
+        assert (code, err) == (2, "error: invalid: pairs must be >= 1, got 0\n")
+
 
 class TestIngest:
     def test_csv_with_header(self, tmp_path):
@@ -439,6 +447,23 @@ class TestConfigFile:
         code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
         assert code == 2
         assert "config file is for command" in err
+
+    def test_command_from_file_with_leading_flag(self, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("command = bound\nk = 1\nl = 4\nm = 100\nn = 1000\ndelta = 0.1\n")
+        code, _, err = run_cli(["--config", str(cfg), "--n", "2000", "--out", str(out)], capsys)
+        assert (code, err) == (0, "")
+        header, row = out.read_text().splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["n"] == "2000"
+
+    def test_leading_flag_without_command_in_file(self, tmp_path, capsys):
+        cfg = tmp_path / "nocmd.cfg"
+        cfg.write_text("k = 1\nl = 4\nm = 100\nn = 1000\ndelta = 0.1\n")
+        code, _, err = run_cli(["--config", str(cfg), "--n", "5"], capsys)
+        assert (code, err) == (
+            2, "error: invalid: no command given on the command line or in the config file\n"
+        )
 
 
 # Every command's CSV and .meta sidecar, pinned by SHA-256.  The sidecar is
