@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundParams, optimize_M, total_bound
+from .bounds import BoundParams, as_int, optimize_M, total_bound
 from .densities import sample, tent_density, uniform_density
 from .errors import EntroboundError, IngestError, OutOfSupportError, ValidityError
 from .estimators import (
@@ -135,6 +135,8 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
     rejected.
     """
     path = Path(path)
+    if k is not None:
+        k = as_int("k", k)
     if format == "csv":
         rows = []
         width = k
@@ -307,12 +309,11 @@ def _cmd_mi_estimate(config: argparse.Namespace):
     k1, k2 = config.k1, config.k2
     if config.input is not None:
         pts = ingest(config.input, config.format, k=k1 + k2)
-        xs, ys = pts[:, :k1], pts[:, k1:]
     else:
         _require(config, "n")
-        xs = sample(_load_density(config, k1), config.n, split(config.seed, 0))
-        ys = sample(_load_density(config, k2), config.n, split(config.seed, 1))
-    report = estimate_mi_certified(xs, ys, config.l, config.delta, seed=config.seed)
+        pts = np.hstack([sample(_load_density(config, k), config.n, split(config.seed, i))
+                         for i, k in enumerate((k1, k2))])
+    report = estimate_mi_certified(pts, k1, config.l, config.delta, seed=config.seed)
     m_x, m_y, m_xy = (part.params.M for part in report.components)
     row = {**_certificate(report), "m_x": m_x, "m_y": m_y, "m_xy": m_xy, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)}"
@@ -398,7 +399,7 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
     # within the per-level point budget; one decade looser costs nothing
     # against bound margins that are two orders of magnitude wide.
     tol = config.tol if config.tol is not None else (1e-6 if K == 1 else 1e-5)
-    m_values = [int(tok) for tok in config.m_list.split(",") if tok.strip()]
+    m_values = _m_values(config.m_list)
     rows = []
 
     def add(check: str, m, lhs: float, rhs: float, holds: bool) -> None:
@@ -456,6 +457,17 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
     return cols, rows, f"checks={len(rows)} failed={n_failed}"
 
 
+def _m_values(m_list: str) -> list[int]:
+    """The bin counts of ``--m-list``; blank tokens are skipped."""
+    try:
+        values = [int(tok) for tok in m_list.split(",") if tok.strip()]
+        if min(values, default=1) >= 1:
+            return values
+    except ValueError:
+        pass
+    raise ValueError(f"m_list must be comma-separated integers >= 1, got {m_list!r}")
+
+
 def _grid_centers(M: int, K: int) -> np.ndarray:
     centers = (np.arange(M) + 0.5) / M
     mesh = np.meshgrid(*([centers] * K), indexing="ij")
@@ -507,6 +519,7 @@ def _validate_config(config: argparse.Namespace) -> None:
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+    _m_values(config.m_list)
     _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):
         raise ValueError(f"format must be csv or f64le, got {config.format!r}")
@@ -556,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config_file(argv: list[str]) -> list[str]:
-    """Expand --config FILE or --config=FILE into flags before the explicit ones."""
+    """Expand the single --config FILE or --config=FILE into flags before the explicit ones."""
     idx = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
     if idx is None:
         return argv
@@ -566,6 +579,8 @@ def _merge_config_file(argv: list[str]) -> list[str]:
         path = rest.pop(idx)
     if not path:
         raise ValueError("--config needs a file path")
+    if any(arg.partition("=")[0] == "--config" for arg in rest):
+        raise ValueError("--config given more than once")
     data = parse_config_text(Path(path).read_text(encoding="utf-8"))
     # The first remaining token is the command unless it is a flag.
     given = rest.pop(0) if rest and not rest[0].startswith("-") else None

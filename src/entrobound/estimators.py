@@ -5,7 +5,8 @@ closed-form confidence bound: for any L-Lipschitz density on [0,1]^K, the
 true entropy lies within ``bound.total`` of the estimate with probability at
 least 1 - delta.  ``estimate_mi_certified`` applies the same machinery to the
 decomposition I(x; y) = h(x) + h(y) - h(x, y), splitting the failure budget
-delta/3 per term.
+delta/3 per term.  It takes one sample matrix whose first k1 columns are x
+and whose other columns are y, so x, y and the joint are all views of it.
 
 The three terms are independent, so on more than 2^16 rows they run on the
 worker pool ``_map_ordered``, which also runs the CLI's ``coverage`` trials;
@@ -173,27 +174,28 @@ def estimate_entropy_certified(
 
 
 def estimate_mi_certified(
-    x_samples, y_samples, L: float, delta: float, seed: int | None = None
+    samples, k1: int, L: float, delta: float, seed: int | None = None
 ) -> EstimateReport:
     """Mutual-information estimate h(x) + h(y) - h(x, y) with a summed bound.
 
-    ``L`` is the Lipschitz constant of the joint density on the product
-    cube; the marginals inherit it.  Each of the three entropy estimates
-    carries failure budget delta/3 and its own optimized bin count, so the
-    total bound fails with probability at most delta by the union bound.
+    ``samples`` holds one (x, y) pair per row: x is ``samples[:, :k1]``, y is
+    ``samples[:, k1:]`` and the joint is ``samples`` itself, so all three
+    terms are views of one matrix, whatever its memory layout.  ``k1`` must
+    lie in [1, K - 1] for K columns.  ``L`` is the Lipschitz constant of the
+    joint density on the product cube; the marginals inherit it.  Each of
+    the three entropy estimates carries failure budget delta/3 and its own
+    optimized bin count, so the total bound fails with probability at most
+    delta by the union bound.
     """
-    xs = _as_points(x_samples)
-    ys = _as_points(y_samples)
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError(f"sample counts differ: {xs.shape[0]} vs {ys.shape[0]}")
-    joint = _adjacent_columns(xs, ys)
-    if joint is None:
-        joint = np.hstack([xs, ys])
-    terms = (xs, ys, joint)
+    joint = _as_points(samples)
+    k1 = as_int("k1", k1)
+    if k1 >= joint.shape[1]:
+        raise ValueError(f"k1 must lie in [1, K - 1], got {k1!r} with K = {joint.shape[1]}")
+    terms = (joint[:, :k1], joint[:, k1:], joint)
     parts = tuple(_map_ordered(
         lambda i: estimate_entropy_certified(terms[i], L, delta / 3.0, seed=seed),
         len(terms),
-        _default_threads() if xs.shape[0] > _BLOCK_ROWS else 1,
+        _default_threads() if joint.shape[0] > _BLOCK_ROWS else 1,
     ))
     h_x, h_y, h_xy = (p.estimate for p in parts)
     quant = sum(p.bound.quant_bias for p in parts)
@@ -207,27 +209,6 @@ def estimate_mi_certified(
         kind="mutual_information",
         components=parts,
     )
-
-
-def _adjacent_columns(xs: np.ndarray, ys: np.ndarray) -> np.ndarray | None:
-    """Read-only view of [xs | ys] when ys's columns directly follow xs's.
-
-    That holds for two column ranges of one row-major buffer, as in
-    ``pts[:, :k1], pts[:, k1:]``: both have the same row stride, unit column
-    stride, and ys starts one row-width of xs after xs.  Returns None
-    otherwise, so the caller stacks a copy.  The view reads memory that xs
-    and ys own; it must not outlive them.
-    """
-    item = xs.itemsize
-    if (
-        xs.strides[0] != ys.strides[0]
-        or xs.strides[1] != item
-        or ys.strides[1] != item
-        or ys.ctypes.data != xs.ctypes.data + item * xs.shape[1]
-    ):
-        return None
-    shape = (xs.shape[0], xs.shape[1] + ys.shape[1])
-    return np.lib.stride_tricks.as_strided(xs, shape, (xs.strides[0], item), writeable=False)
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +447,8 @@ class _PinnedMiEstimator:
 
     def __call__(self, rows) -> float:
         rows = _as_points(rows)
-        x = rows[:, :1]
-        y01 = (rows[:, 1:2] + 2.0) / 3.0
-        return estimate_mi_certified(x, y01, self.assumed_L, self.delta).estimate
+        rescaled = np.column_stack([rows[:, 0], (rows[:, 1] + 2.0) / 3.0])
+        return estimate_mi_certified(rescaled, 1, self.assumed_L, self.delta).estimate
 
 
 def mi_adversary_demo(

@@ -313,6 +313,17 @@ class TestVerifyLemmas:
         code, _, err = run_cli(["verify-lemmas", *flags], capsys)
         assert (code, err) == (2, "error: invalid: pairs must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize("m_list, in_config", [("8,x", False), ("0,8", False),
+                                                   ("8,x", True)])
+    def test_bad_m_list_names_option_and_value(self, m_list, in_config, tmp_path, capsys):
+        cfg = tmp_path / "lem.cfg"
+        cfg.write_text(f"m_list = {m_list}\n")
+        flags = ["--config", str(cfg)] if in_config else ["--m-list", m_list]
+        code, _, err = run_cli(["verify-lemmas", *flags], capsys)
+        assert (code, err) == (
+            2, f"error: invalid: m_list must be comma-separated integers >= 1, got {m_list!r}\n"
+        )
+
 
 class TestIngest:
     def test_csv_with_header(self, tmp_path):
@@ -395,6 +406,15 @@ class TestIngest:
         assert not writer.is_alive()
         assert np.array_equal(got, pts) and got.flags.writeable
 
+    @pytest.mark.parametrize("fmt", ["csv", "f64le"])
+    @pytest.mark.parametrize("k", [0, 2.5, -2])
+    def test_bad_k_rejected(self, fmt, k, tmp_path):
+        path = tmp_path / "d.bin"
+        emit_f64le(path, np.full((4, 2), 0.5))
+        with pytest.raises(ValueError) as exc:
+            ingest(path, fmt, k=k)
+        assert str(exc.value) == f"k must be an integer >= 1, got {k!r}"
+
     def test_csv_round_trip(self, tmp_path):
         pts = np.random.default_rng(5).random((9, 2))
         path = tmp_path / "d.csv"
@@ -456,6 +476,16 @@ class TestConfigFile:
         assert (code, err) == (0, "")
         header, row = out.read_text().splitlines()
         assert dict(zip(header.split(","), row.split(",")))["n"] == "2000"
+
+    @pytest.mark.parametrize("equals", [False, True])
+    def test_second_config_rejected(self, equals, tmp_path, capsys):
+        flags = []
+        for name, n in (("a.cfg", 1000), ("b.cfg", 7)):
+            cfg = tmp_path / name
+            cfg.write_text(f"k = 1\nl = 1\nm = 100\nn = {n}\ndelta = 0.1\n")
+            flags += [f"--config={cfg}"] if equals else ["--config", str(cfg)]
+        code, out, err = run_cli(["bound", *flags], capsys)
+        assert (code, out, err) == (2, "", "error: invalid: --config given more than once\n")
 
     def test_leading_flag_without_command_in_file(self, tmp_path, capsys):
         cfg = tmp_path / "nocmd.cfg"

@@ -23,7 +23,7 @@ from entrobound import (
     tent_density,
     two_cell_kl_plugin,
 )
-from entrobound.estimators import _adjacent_columns
+from entrobound import estimators
 from entrobound.rng import generator, split
 
 TENT_H1 = 0.5 - math.log(2.0)
@@ -73,29 +73,27 @@ class TestEstimateEntropyCertified:
 
 @pytest.fixture(scope="module")
 def independent_tents():
+    """One (x, y) pair per row: two independent 1-D tent samples side by side."""
     tent = tent_density(1)
     xs = sample(tent, 10**5, split(50, 0))
     ys = sample(tent, 10**5, split(50, 1))
-    return xs, ys
+    return np.hstack([xs, ys])
 
 
 class TestEstimateMiCertified:
     def test_independent_pair_near_zero(self, independent_tents):
-        xs, ys = independent_tents
         # joint density of independent tents is the K=2 tent, L = 8
-        report = estimate_mi_certified(xs, ys, 8.0, 0.1)
+        report = estimate_mi_certified(independent_tents, 1, 8.0, 0.1)
         assert report.kind == "mutual_information"
         assert abs(report.estimate) <= report.bound.total
 
     def test_symmetry_under_swap(self, independent_tents):
-        xs, ys = independent_tents
-        a = estimate_mi_certified(xs, ys, 8.0, 0.1)
-        b = estimate_mi_certified(ys, xs, 8.0, 0.1)
+        a = estimate_mi_certified(independent_tents, 1, 8.0, 0.1)
+        b = estimate_mi_certified(independent_tents[:, ::-1], 1, 8.0, 0.1)
         assert a.estimate == b.estimate
 
     def test_decomposition_identities(self, independent_tents):
-        xs, ys = independent_tents
-        report = estimate_mi_certified(xs, ys, 8.0, 0.1)
+        report = estimate_mi_certified(independent_tents, 1, 8.0, 0.1)
         h_x, h_y, h_xy = (p.estimate for p in report.components)
         assert report.estimate == h_x + h_y - h_xy
         total_of_parts = sum(p.bound.total for p in report.components)
@@ -105,14 +103,22 @@ class TestEstimateMiCertified:
         )
 
     def test_components_use_third_of_delta(self, independent_tents):
-        xs, ys = independent_tents
-        report = estimate_mi_certified(xs, ys, 8.0, 0.09)
+        report = estimate_mi_certified(independent_tents, 1, 8.0, 0.09)
         for part in report.components:
             assert part.params.delta == pytest.approx(0.03)
 
-    def test_mismatched_counts(self):
-        with pytest.raises(ValueError):
-            estimate_mi_certified(np.zeros((5, 1)), np.zeros((6, 1)), 1.0, 0.1)
+    @pytest.mark.parametrize("K, k1, message", [
+        (2, 0, "k1 must be an integer >= 1, got 0"),
+        (2, -1, "k1 must be an integer >= 1, got -1"),
+        (2, 2.5, "k1 must be an integer >= 1, got 2.5"),
+        (2, 2, "k1 must lie in [1, K - 1], got 2 with K = 2"),
+        (3, 3, "k1 must lie in [1, K - 1], got 3 with K = 3"),
+        (1, 1, "k1 must lie in [1, K - 1], got 1 with K = 1"),
+    ], ids=["zero", "negative", "fraction", "K", "K-of-3", "one-column"])
+    def test_k1_outside_range(self, K, k1, message):
+        with pytest.raises(ValueError) as exc:
+            estimate_mi_certified(np.full((5, K), 0.5), k1, 1.0, 0.1)
+        assert str(exc.value) == message
 
 
 def _report_bits(report):
@@ -129,56 +135,36 @@ def _flatten(value):
         yield value
 
 
-@pytest.fixture
-def hstack_calls(monkeypatch):
-    """Counts the joint copies estimate_mi_certified makes."""
-    calls = []
-    hstack = np.hstack
-
-    def spy(arrays, *args, **kwargs):
-        calls.append(len(arrays))
-        return hstack(arrays, *args, **kwargs)
-
-    monkeypatch.setattr(np, "hstack", spy)
-    return calls
+def _layouts():
+    pts = generator(60).random((3000, 3))
+    return {
+        "C": pts,
+        "Fortran": np.asfortranarray(pts),
+        "column-strided": generator(61).random((3000, 6))[:, ::2],
+        "row-reversed": pts[::-1],
+    }
 
 
-class TestJointView:
-    @pytest.mark.parametrize("k1, k2", [(1, 1), (1, 2), (2, 1)])
-    def test_views_of_one_array_equal_separate_copies(self, k1, k2, hstack_calls):
-        pts = generator(60 + k1).random((5000, k1 + k2))
-        viewed = estimate_mi_certified(pts[:, :k1], pts[:, k1:], 2.0 ** (k1 + k2 + 1), 0.1)
-        assert hstack_calls == []
-        copied = estimate_mi_certified(pts[:, :k1].copy(), pts[:, k1:].copy(),
-                                       2.0 ** (k1 + k2 + 1), 0.1)
-        assert hstack_calls == [2]
-        assert _report_bits(viewed) == _report_bits(copied)
+class TestOneMatrix:
+    @pytest.mark.parametrize("k1", [1, 2])
+    @pytest.mark.parametrize("layout", list(_layouts()))
+    def test_terms_are_views_for_any_layout(self, layout, k1, monkeypatch):
+        """x, y and the joint are views of the input and give its copy's bits."""
+        samples = _layouts()[layout]
+        expected = _report_bits(estimate_mi_certified(np.ascontiguousarray(samples), k1,
+                                                      16.0, 0.1))
+        seen = []
+        certified = estimators.estimate_entropy_certified
 
-    def test_view_is_read_only_and_equals_the_stack(self):
-        pts = generator(61).random((100, 5))
-        joint = _adjacent_columns(pts[:, 1:3], pts[:, 3:4])
-        assert not joint.flags.writeable
-        assert np.array_equal(joint, pts[:, 1:4])
-        assert np.shares_memory(joint, pts)
+        def spy(pts, *args, **kwargs):
+            seen.append(pts)
+            return certified(pts, *args, **kwargs)
 
-    @pytest.mark.parametrize("x_cols, y_cols", [
-        (slice(1, 3), slice(0, 1)),  # y before x
-        (slice(0, 1), slice(2, 3)),  # a column between them
-        (slice(0, 2), slice(1, 3)),  # overlapping columns
-    ])
-    def test_other_layouts_are_stacked(self, x_cols, y_cols, hstack_calls):
-        pts = generator(62).random((3000, 3))
-        xs, ys = pts[:, x_cols], pts[:, y_cols]
-        assert _adjacent_columns(xs, ys) is None
-        report = estimate_mi_certified(xs, ys, 16.0, 0.1)
-        assert hstack_calls == [2]
-        copied = estimate_mi_certified(xs.copy(), ys.copy(), 16.0, 0.1)
-        assert _report_bits(report) == _report_bits(copied)
-
-    def test_row_stride_mismatch_is_stacked(self):
-        pts = generator(63).random((200, 2))
-        assert _adjacent_columns(pts[::2, :1], pts[1::2, 1:]) is None
-        assert _adjacent_columns(pts[:100, :1], pts[:100, 1:]) is not None
+        monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
+        report = estimate_mi_certified(samples, k1, 16.0, 0.1)
+        assert _report_bits(report) == expected
+        assert [term.shape[1] for term in seen] == [k1, 3 - k1, 3]
+        assert all(np.shares_memory(term, samples) for term in seen)
 
 
 _BLOCK_NS = [2**16 + 1, 3 * 2**16 + 5]
@@ -206,7 +192,7 @@ class TestThreadCountInvariance:
         bits = set()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ENTROBOUND_THREADS", threads)
-            report = estimate_mi_certified(pts[:, :k1], pts[:, k1:], 2.0 ** (k1 + k2 + 1), 0.1)
+            report = estimate_mi_certified(pts, k1, 2.0 ** (k1 + k2 + 1), 0.1)
             bits.add(_report_bits(report))
         assert len(bits) == 1
 
@@ -220,7 +206,7 @@ class TestTermPool:
                                                        monkeypatch):
         monkeypatch.setenv("ENTROBOUND_THREADS", threads)
         pts = generator(90).random((N, 2))
-        estimate_mi_certified(pts[:, :1], pts[:, 1:], 8.0, 0.1)
+        estimate_mi_certified(pts, 1, 8.0, 0.1)
         assert executors == made
 
     def test_x_term_error_comes_first(self, monkeypatch):
@@ -231,7 +217,7 @@ class TestTermPool:
         for threads in ("1", "3"):
             monkeypatch.setenv("ENTROBOUND_THREADS", threads)
             with pytest.raises(OutOfSupportError) as exc:
-                estimate_mi_certified(pts[:, :1], pts[:, 1:], 16.0, 0.1)
+                estimate_mi_certified(pts, 1, 16.0, 0.1)
             messages.add(str(exc.value))
         assert len(messages) == 1
         assert "sample 65536 lies outside [0, 1]^K: [1.5]" in messages.pop()

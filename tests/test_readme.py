@@ -1,0 +1,14 @@
+"""The README's Python examples run as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_python_blocks_run_in_order():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 2
+    namespace = {"__name__": "readme"}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)
