@@ -42,6 +42,7 @@ from .densities import sample, tent_density, uniform_density
 from .errors import EntroboundError, IngestError, OutOfSupportError, ValidityError
 from .estimators import (
     ExternalEstimator,
+    _check_optimal_bins,
     _default_threads,
     _map_ordered,
     estimate_entropy_certified,
@@ -331,6 +332,7 @@ def _cmd_coverage(config: argparse.Namespace):
         bound = total_bound(BoundParams(config.k, config.l, M, config.n, config.delta))
     else:
         M, bound = optimize_M(config.k, config.l, config.n, config.delta)
+        _check_optimal_bins(M, config.k, config.l, config.n)
 
     def one_trial(t: int) -> dict:
         seed_t = split(config.seed, t)
@@ -437,7 +439,7 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
 
     # Lipschitz-difference integral over the first grid cell: with f vanishing
     # at the cell midpoint, integral |f| <= eps^(K+1) * L * K / 2.
-    M0 = m_values[0] if m_values else 8
+    M0 = m_values[0]
     eps = 1.0 / M0
     cell = np.array([[0.0, eps]] * K)
     mid = np.full((1, K), eps / 2.0)
@@ -458,10 +460,10 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
 
 
 def _m_values(m_list: str) -> list[int]:
-    """The bin counts of ``--m-list``; blank tokens are skipped."""
+    """The bin counts of ``--m-list``, at least one; blank tokens are skipped."""
     try:
         values = [int(tok) for tok in m_list.split(",") if tok.strip()]
-        if min(values, default=1) >= 1:
+        if values and min(values) >= 1:
             return values
     except ValueError:
         pass
@@ -523,6 +525,18 @@ def _validate_config(config: argparse.Namespace) -> None:
     _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):
         raise ValueError(f"format must be csv or f64le, got {config.format!r}")
+    if config.out:
+        for path in (config.out, config.out + ".meta"):
+            _check_writable(path)
+
+
+def _check_writable(path: str) -> None:
+    """Raise now the OSError that writing path would raise after the run."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
 
 
 def run(config: argparse.Namespace) -> int:

@@ -49,11 +49,12 @@ from .densities import (
 from .errors import EntroboundError
 from .histogram import (
     _BLOCK_ROWS,
+    _MAX_BINS,
     _as_points,
     _bin_count,
-    _bin_indices,
-    _check_unit_cube,
+    _bin_keys,
     _count_entropy,
+    _tally,
     estimate_differential_entropy,
 )
 from .oracle import kl_true_divergence
@@ -151,6 +152,15 @@ class DemoReport:
     below_threshold_fraction: float
 
 
+def _check_optimal_bins(M: int, K: int, L: float, N: int) -> None:
+    """Refuse a bound-optimal M above 2^53, which float64 binning cannot resolve."""
+    if M > _MAX_BINS:
+        raise ValueError(
+            f"L = {L!r} is too large for float64 binning with K = {K} and N = {N}: "
+            f"the bound-optimal M exceeds 2^53 = {_MAX_BINS}"
+        )
+
+
 def estimate_entropy_certified(
     samples, L: float, delta: float, M: int | None = None, seed: int | None = None
 ) -> EstimateReport:
@@ -165,6 +175,7 @@ def estimate_entropy_certified(
     N, K = int(pts.shape[0]), int(pts.shape[1])
     if M is None:
         M, bound = optimize_M(K, L, N, delta)
+        _check_optimal_bins(M, K, L, N)
         params = BoundParams(K, L, M, N, delta)
     else:
         params = BoundParams(K, L, M, N, delta)
@@ -251,24 +262,24 @@ def discrete_mi_plugin(x_samples, y_labels, M_bins: int) -> float:
 
     Because the marginal and joint use the same x-binning, the K*log(M)
     corrections cancel and this reduces to H(x_bins) + H(y) - H(x_bins, y)
-    on raw counts.  It is exactly zero when y is constant and never exceeds
-    log of the y-alphabet size.  This is the natural victim for the
-    discrete-alphabet adversary: until two samples collide in an x-bin, the
-    dependence of y on x is invisible.
+    on raw counts; x is binned and counted as in ``build_histogram``, and
+    the joint counts pair x's keys with y's label indices.  It is exactly
+    zero when y is constant and never exceeds log of the y-alphabet size.
+    This is the natural victim for the discrete-alphabet adversary: until
+    two samples collide in an x-bin, the dependence of y on x is invisible.
     """
     M_bins = _bin_count(M_bins)
     pts = _as_points(x_samples)
-    _check_unit_cube(pts)
-    xb = _bin_indices(pts, M_bins)
+    keys = _bin_keys(pts, M_bins)
     y = np.asarray(y_labels).reshape(-1)
-    if xb.shape[0] != y.shape[0]:
-        raise ValueError(f"sample counts differ: {xb.shape[0]} vs {y.shape[0]}")
+    if pts.shape[0] != y.shape[0]:
+        raise ValueError(f"sample counts differ: {pts.shape[0]} vs {y.shape[0]}")
     n = y.shape[0]
     if n == 0:
         raise ValueError("no samples")
-    _, cx = np.unique(xb, axis=0, return_counts=True)
-    _, cy = np.unique(y, return_counts=True)
-    _, cxy = np.unique(np.column_stack([xb, y]), axis=0, return_counts=True)
+    _, cx = _tally(keys, M_bins, pts.shape[1])
+    _, y_inverse, cy = np.unique(y, return_inverse=True, return_counts=True)
+    _, cxy = np.unique(np.column_stack([keys, y_inverse]), axis=0, return_counts=True)
     return _count_entropy(cx, n) + _count_entropy(cy, n) - _count_entropy(cxy, n)
 
 

@@ -10,18 +10,22 @@ of the bin counts minus the correction K*log(M):
 M is at most 2^53: beyond it float64 cannot tell neighbouring bin edges
 apart, so binning rejects larger M.
 
-A histogram stores only its occupied bins (at most N) and their counts, as
-two arrays in row-major bin order.  Quantization runs serially in
-cache-sized blocks of 2^16 rows and, within a block, on one contiguous
-column at a time.  Each column takes a certified floor of x*M, which is the
-bin index except within a few ulps of a bin edge; only a column with a
-coordinate there goes through the exact edge fix-up (see ``_bin_indices``).
-The column's indices are then folded into the block's row-major integer
-keys.  Counting then tallies the keys with a dense ``bincount`` only
-when the grid is small (M^K <= 4N), otherwise by sorting them, so memory
-stays O(N).  Histograms are immutable once built and safe to share across
-threads; parallelism lives a level up, on whole estimates (see
-``estimators``).
+This module is the only one that knows the bin rule and the key format.
+``_bin_keys`` quantizes serially in cache-sized blocks of 2^16 rows and,
+within a block, on one contiguous column at a time.  Each column takes a
+certified floor of x*M, which is the bin index except within a few ulps of a
+bin edge; only a column with a coordinate there goes through the exact edge
+fix-up (see ``_bin_indices``).  The column's indices are then folded into
+the block's row-major integer keys.  ``_tally`` counts the keys with a dense
+``bincount`` only when the grid is small (M^K <= 4N), otherwise by sorting
+them, so memory stays O(N).  ``build_histogram`` and
+``estimators.discrete_mi_plugin`` both bin and count through these two.
+
+A histogram stores only its occupied keys (at most N) and their counts, as
+two arrays in row-major bin order; the plug-in estimate reads only the
+counts, and the bin indices are decoded from the keys on request.
+Histograms are immutable once built and safe to share across threads;
+parallelism lives a level up, on whole estimates (see ``estimators``).
 """
 from __future__ import annotations
 
@@ -59,17 +63,20 @@ class _CountsView(Mapping):
     """Read-only bin-index -> count mapping over a histogram's arrays.
 
     Its length is the number of occupied bins; the dict behind it is built
-    on the first lookup or iteration.
+    from the decoded bin indices on the first lookup or iteration.
     """
 
-    def __init__(self, bins: np.ndarray, tally: np.ndarray) -> None:
-        self._bins = bins
+    def __init__(self, keys: np.ndarray, tally: np.ndarray, M: int, K: int) -> None:
+        self._keys = keys
         self._tally = tally
+        self._M = M
+        self._K = K
         self._dict: dict[BinIndex, int] | None = None
 
     def _as_dict(self) -> dict[BinIndex, int]:
         if self._dict is None:
-            self._dict = dict(zip(map(tuple, self._bins.tolist()), self._tally.tolist()))
+            bins = _index_rows(self._keys, self._M, self._K)
+            self._dict = dict(zip(map(tuple, bins.tolist()), self._tally.tolist()))
         return self._dict
 
     def __len__(self) -> int:
@@ -89,32 +96,49 @@ class _CountsView(Mapping):
 class SparseHistogram:
     """Occupied bins of the M^K grid and their counts, over N samples.
 
-    ``bins`` is the (n_occ, K) int64 array of occupied bin indices in
-    row-major order and ``tally`` the (n_occ,) int64 array of their counts;
-    both are read-only.  ``counts`` presents the same data as a read-only
+    ``keys`` holds the occupied bins in row-major order: the (n_occ,) int64
+    row-major flat keys, or, when K * log2(M) >= 62 would overflow them, the
+    (n_occ, K) int64 bin index rows.  ``tally`` is the (n_occ,) int64 array
+    of their counts; both are read-only, and the plug-in estimate reads only
+    ``tally``.  ``bins`` decodes ``keys`` into the (n_occ, K) index rows on
+    each access, and ``counts`` presents the same data as a read-only
     bin-index -> count mapping.
     """
 
     K: int
     M: int
     N: int
-    bins: np.ndarray
+    keys: np.ndarray
     tally: np.ndarray
     counts: Mapping[BinIndex, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.bins.flags.writeable = False
+        self.keys.flags.writeable = False
         self.tally.flags.writeable = False
-        object.__setattr__(self, "counts", _CountsView(self.bins, self.tally))
+        object.__setattr__(self, "counts", _CountsView(self.keys, self.tally, self.M, self.K))
+
+    @property
+    def bins(self) -> np.ndarray:
+        """The (n_occ, K) int64 occupied bin indices in row-major order, read-only."""
+        return _index_rows(self.keys, self.M, self.K)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseHistogram):
             return NotImplemented
         return (
             (self.K, self.M, self.N) == (other.K, other.M, other.N)
-            and np.array_equal(self.bins, other.bins)
+            and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.tally, other.tally)
         )
+
+
+def _index_rows(keys: np.ndarray, M: int, K: int) -> np.ndarray:
+    """The read-only (n, K) bin index rows of row-major keys; index rows pass through."""
+    if keys.ndim == 2:
+        return keys
+    rows = np.stack(np.unravel_index(keys, (M,) * K), axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _as_points(samples) -> np.ndarray:
@@ -146,8 +170,9 @@ def quantize_index(x, M: int) -> BinIndex:
     rounded value of i/M, is <= x_k.  So the measure-zero boundary x_k = 1
     falls into the top bin and the bins cover the closed cube, and a bin's
     lower corner always maps back to that bin even when x*M itself rounds
-    across the edge.  ``build_histogram`` bins every sample by the same rule
-    through ``_bin_indices``.
+    across the edge.  Every sample that ``build_histogram`` or
+    ``discrete_mi_plugin`` bins goes by the same rule, through ``_bin_keys``
+    and ``_bin_indices``.
     """
     M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -171,7 +196,8 @@ def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
 
     The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
     fl(i/M) is the correctly rounded edge.  The result has points' shape;
-    ``build_histogram`` passes one contiguous column at a time.
+    ``_bin_keys``, the only caller besides ``quantize_index``, passes one
+    contiguous column at a time.
 
     Certified floor.  Let f = fl(x*M), i = floor(f) and r = f - i, which is
     exact (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
@@ -211,14 +237,16 @@ def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
     idx -= idx / M > x
 
 
-def build_histogram(samples, M: int) -> SparseHistogram:
-    """Bin counts of the samples in row-major bin order; independent of sample order."""
-    M = _bin_count(M)
-    points = _as_points(samples)
+def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
+    """Row-major flat bin key of every row of (n, K) points; M must pass ``_bin_count``.
+
+    Rows are quantized in blocks of ``_BLOCK_ROWS``, one contiguous column
+    at a time, by ``_bin_indices``.  When K * log2(M) >= 62 a flat key could
+    overflow int64, and the result is the (n, K) bin index rows instead.  A
+    row outside [0, 1]^K raises ``OutOfSupportError`` naming the first one.
+    """
     n, k = points.shape
-    if n == 0:
-        raise ValueError("cannot build a histogram from zero samples")
-    # Beyond 62 bits a row-major key would overflow int64: count index rows.
+    # Beyond 62 bits a row-major key would overflow int64: keep index rows.
     packed = math.log2(M) * k < 62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
@@ -238,17 +266,34 @@ def build_histogram(samples, M: int) -> SparseHistogram:
             else:  # Horner: ((i_0 * M + i_1) * M + i_2) ...
                 key *= M
                 key += idx
-    if not packed:
-        bins, tally = np.unique(keys, axis=0, return_counts=True)
-        return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)
-    if M**k <= 4 * n:
-        tally = np.bincount(keys, minlength=M**k)
-        flat = np.flatnonzero(tally)
-        tally = tally[flat]
-    else:
-        flat, tally = np.unique(keys, return_counts=True)
-    bins = np.stack(np.unravel_index(flat, (M,) * k), axis=1)
-    return SparseHistogram(K=k, M=M, N=n, bins=bins, tally=tally)
+    return keys
+
+
+def _tally(keys: np.ndarray, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """The occupied keys of ``_bin_keys`` in row-major order, and their counts.
+
+    Flat keys are counted with a dense ``bincount`` only when the grid is
+    small (M^K <= 4n), otherwise by sorting them, so memory stays O(n);
+    index rows are sorted as rows.
+    """
+    if keys.ndim == 2:
+        return np.unique(keys, axis=0, return_counts=True)
+    if M**K <= 4 * keys.size:
+        tally = np.bincount(keys, minlength=M**K)
+        occupied = np.flatnonzero(tally)
+        return occupied, tally[occupied]
+    return np.unique(keys, return_counts=True)
+
+
+def build_histogram(samples, M: int) -> SparseHistogram:
+    """Bin counts of the samples in row-major bin order; independent of sample order."""
+    M = _bin_count(M)
+    points = _as_points(samples)
+    n, k = points.shape
+    if n == 0:
+        raise ValueError("cannot build a histogram from zero samples")
+    keys, tally = _tally(_bin_keys(points, M), M, k)
+    return SparseHistogram(K=k, M=M, N=n, keys=keys, tally=tally)
 
 
 def _count_entropy(counts: np.ndarray, n: int) -> float:

@@ -1,4 +1,5 @@
 """CLI: commands, exit codes, file formats, config files, determinism."""
+import errno
 import hashlib
 import math
 import os
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from entrobound import cli
 from entrobound.cli import emit_csv, emit_f64le, ingest, main
 from entrobound.errors import IngestError
 
@@ -102,6 +104,32 @@ def test_bound_accepts_bin_count_above_2_53(capsys):
     )
     assert code == 0
     assert out.startswith("total=")
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "1"],
+    ["mi-estimate", "--k1", "1", "--k2", "1"],
+    ["coverage", "--k", "1", "--trials", "2"],
+], ids=["estimate", "mi-estimate", "coverage"])
+def test_optimal_bin_count_above_2_53_names_l(argv, capsys):
+    """An L whose bound-optimal M float64 cannot bin is named, not that M."""
+    code, out, err = run_cli(
+        argv + ["--density", "tent", "--l", "1e300", "--n", "100", "--delta", "0.1"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: invalid: L = 1e+300 is too large for float64 binning with K = 1 and N = 100: "
+        "the bound-optimal M exceeds 2^53 = 9007199254740992\n"
+    )
+
+
+def test_optimize_m_prints_bin_count_above_2_53(capsys):
+    """optimize-m bins nothing, so it reports an M beyond float64 binning."""
+    code, out, _ = run_cli(
+        ["optimize-m", "--k", "1", "--l", "1e300", "--n", "100", "--delta", "0.1"], capsys
+    )
+    assert code == 0
+    assert int(out.split()[0].removeprefix("M=")) > 2**53
 
 
 class TestEstimateCommand:
@@ -280,6 +308,45 @@ class TestBlockPoolOutputs:
         assert outputs[0] == outputs[1]
 
 
+class TestOutChecked:
+    """--out is checked before any work, with the error its write would raise."""
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        calls = []
+        real = cli.sample
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample", spy)
+        return calls
+
+    @pytest.mark.parametrize("target", ["directory", "missing parent", "sidecar directory"])
+    def test_bad_out_fails_before_sampling(self, target, tmp_path, capsys, drawn):
+        out = tmp_path / "cov.csv"
+        if target == "directory":
+            out = bad = tmp_path
+            code = errno.EISDIR
+        elif target == "missing parent":
+            out = bad = tmp_path / "nope" / "cov.csv"
+            code = errno.ENOENT
+        else:
+            bad = tmp_path / "cov.csv.meta"
+            bad.mkdir()
+            code = errno.EISDIR
+        result = run_cli(_COVERAGE_ARGS + ["--out", str(out)], capsys)
+        assert result == (1, "", f"error: io: [Errno {code}] {os.strerror(code)}: {str(bad)!r}\n")
+        assert drawn == [] and not (tmp_path / "cov.csv").exists()
+
+    def test_failed_run_leaves_no_file(self, tmp_path, capsys, drawn):
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(_ESTIMATE_ARGS + ["--m", "2", "--out", str(out)], capsys)
+        assert code == 2 and err.startswith("error: validity:")
+        assert drawn and list(tmp_path.iterdir()) == []  # no CSV, no sidecar
+
+
 class TestDemoCommands:
     @pytest.mark.parametrize("command", ["prop1-demo", "mi-demo", "kl-demo"])
     def test_smoke(self, command, tmp_path, capsys):
@@ -313,8 +380,9 @@ class TestVerifyLemmas:
         code, _, err = run_cli(["verify-lemmas", *flags], capsys)
         assert (code, err) == (2, "error: invalid: pairs must be >= 1, got 0\n")
 
+    # "," names no bin count, so no per-M check would run.
     @pytest.mark.parametrize("m_list, in_config", [("8,x", False), ("0,8", False),
-                                                   ("8,x", True)])
+                                                   ("8,x", True), (",", False), (",", True)])
     def test_bad_m_list_names_option_and_value(self, m_list, in_config, tmp_path, capsys):
         cfg = tmp_path / "lem.cfg"
         cfg.write_text(f"m_list = {m_list}\n")

@@ -23,7 +23,8 @@ from entrobound import (
     tent_density,
     two_cell_kl_plugin,
 )
-from entrobound import estimators
+from entrobound import discrete_mi_plugin, estimators
+from entrobound.histogram import _bin_indices, _count_entropy
 from entrobound.rng import generator, split
 
 TENT_H1 = 0.5 - math.log(2.0)
@@ -287,6 +288,51 @@ class TestDiscreteMiPlugin:
         x, y = adv.sample(9, 1000)
         est = discrete_mi_plugin(x, y, 32)
         assert est < 0.1
+
+
+def _reference_discrete_mi(x, y, M):
+    """The three-np.unique formula on whole-array bin index rows."""
+    xb = _bin_indices(np.asarray(x, dtype=np.float64), M)
+    y = np.asarray(y).reshape(-1)
+    n = y.shape[0]
+    _, cx = np.unique(xb, axis=0, return_counts=True)
+    _, cy = np.unique(y, return_counts=True)
+    _, cxy = np.unique(np.column_stack([xb, y]), axis=0, return_counts=True)
+    return _count_entropy(cx, n) + _count_entropy(cy, n) - _count_entropy(cxy, n)
+
+
+_MI_LAYOUTS = {
+    "C order": np.ascontiguousarray,
+    "Fortran order": np.asfortranarray,
+    "reversed rows": lambda x: x[::-1],
+}
+_MI_COMBOS = [(labels, layout) for labels in ("int", "float") for layout in _MI_LAYOUTS]
+_MI_BIN_COUNTS = [1, 2, 7, 32, 1000, 2**21, 2**40]
+
+
+# M^K <= 4N (dense bincount), above it (sorted keys) and K * log2(M) >= 62
+# (index rows); N across the quantization block of 2^16 rows.
+@pytest.mark.parametrize("N", [5, 2**16 - 1, 2**16 + 1])
+@pytest.mark.parametrize("M", _MI_BIN_COUNTS)
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_discrete_mi_plugin_matches_reference(K, M, N):
+    rng = generator(5000 + 10 * K + N % 10)
+    # Bin edges and few random values: bins repeat at every M.
+    pool = np.concatenate([np.arange(8) / M, [1.0], rng.random(24)])
+    x = rng.choice(np.clip(pool, 0.0, 1.0), size=(N, K))
+    combos = _MI_COMBOS
+    if N > 5:
+        # One (labels, layout) pair per large case keeps the test quick; over
+        # the seven M every pair comes up at each N and K.
+        combos = [_MI_COMBOS[(_MI_BIN_COUNTS.index(M) + K + N) % len(_MI_COMBOS)]]
+    for labels, layout in combos:
+        if labels == "int":
+            y = rng.integers(0, 3, size=N)
+        else:
+            y = rng.choice([-0.5, 0.25, 2.0], size=N)
+        y = np.where(x[:, 0] > 0.5, y, y[0])  # y depends on x
+        xl = _MI_LAYOUTS[layout](x)
+        assert discrete_mi_plugin(xl, y, M).hex() == _reference_discrete_mi(xl, y, M).hex()
 
 
 class TestTwoCellKlPlugin:

@@ -18,7 +18,7 @@ from entrobound import (
     plugin_entropy,
     quantize_index,
 )
-from entrobound import estimators, histogram
+from entrobound import estimate_entropy_certified, estimate_mi_certified, estimators, histogram
 from entrobound.estimators import _default_threads, _map_ordered
 from entrobound.histogram import _bin_indices, _count_entropy
 from entrobound.rng import generator
@@ -480,6 +480,46 @@ class TestOutOfCube:
         _assert_matches_references(points, 4)
         counts = build_histogram(points, 4).counts
         assert counts[(0, 3, 0)] >= 1 and counts[(3, 0, 3)] >= 1
+
+
+_GRID_BITS = st.integers(0, 40).flatmap(lambda b: st.integers(2**b, 2**(b + 1) - 1))
+
+
+@given(data=st.data(), K=st.integers(1, 3), M=_GRID_BITS, N=st.integers(1, 40))
+def test_histogram_properties(data, K, M, N):
+    """Keys, bins and tally agree with each other and bound the plug-in entropy."""
+    coords = st.one_of(st.floats(0.0, 1.0), st.integers(0, M).map(lambda i: i / M))
+    points = data.draw(hnp.arrays(np.float64, (N, K), elements=coords))
+    hist = build_histogram(points, M)
+    bins = hist.bins
+    assert bins.shape == (hist.tally.size, K) and not bins.flags.writeable
+    rows = [tuple(row) for row in bins.tolist()]
+    assert rows == sorted(set(rows))  # unique, in row-major order
+    if hist.keys.ndim == 1:  # packed: K * log2(M) < 62
+        assert np.array_equal(hist.keys, np.ravel_multi_index(bins.T, (M,) * K))
+    else:
+        assert np.array_equal(hist.keys, bins)
+    assert hist.tally.sum() == N
+    assert 0.0 <= plugin_entropy(hist) <= math.log(min(N, M**K))
+
+
+def test_estimates_never_decode_bins(monkeypatch):
+    """Estimates read only the tally: no bins, no counts, no np.unravel_index."""
+    def fail(*args, **kwargs):
+        raise AssertionError("bins decoded")
+
+    monkeypatch.setattr(np, "unravel_index", fail)
+    monkeypatch.setattr(histogram, "_index_rows", fail)
+    points = generator(14).random((2**16 + 3, 3))
+    for M in (4, 50, 2**21):  # dense, sorted and index-row counting
+        hist = build_histogram(points, M)
+        assert plugin_entropy(hist) >= 0.0
+        estimate_differential_entropy(points, M)
+    estimate_entropy_certified(points, 4.0, 0.1)
+    estimate_mi_certified(points, 1, 4.0, 0.1)
+    discrete_mi_plugin(points, points[:, 0] > 0.5, 2**21)
+    with pytest.raises(AssertionError, match="bins decoded"):
+        build_histogram(points, 4).bins
 
 
 class TestPluginEntropy:
