@@ -542,8 +542,9 @@ def _check_writable(path: str) -> None:
 def run(config: argparse.Namespace) -> int:
     """Execute one parsed command line; returns the process exit status.
 
-    ``config`` is what ``build_parser().parse_args`` returns: the command and
-    every option in ``_OPTIONS``, each at its default unless it was given.
+    ``config`` is what ``build_parser(command).parse_args`` returns: the
+    command and every option in ``_OPTIONS``, each at its default unless it
+    was given.
     """
     started = time.monotonic()
     _validate_config(config)
@@ -563,18 +564,25 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of every command, with the options of ``command`` only.
+
+    Every subparser is registered with its help, so the program's help and
+    its usage errors do not depend on ``command``; only the subparser that
+    will parse the line gets ``--config`` and its options.
+    """
     parser = _Parser(
         prog="entrobound",
         description="Histogram differential-entropy estimation with explicit confidence bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults = {name: default for name, (_, default, _) in _OPTIONS.items()}
-    for command, (_, helptext, options) in _COMMANDS.items():
-        cmd = sub.add_parser(command, help=helptext)
+    for name, (_, helptext, options) in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=helptext)
+        if name != command:
+            continue
         # Every option, accepted or not, gets its default: _validate_config
         # reads k1, k2 and format for every command.
-        cmd.set_defaults(**defaults)
+        cmd.set_defaults(**{opt: default for opt, (_, default, _) in _OPTIONS.items()})
         cmd.add_argument("--config", type=str, default=None, help="key = value config file")
         for opt in options:
             parse, _, opt_help = _OPTIONS[opt]
@@ -618,7 +626,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _merge_config_file(argv)
-        return run(build_parser().parse_args(argv))
+        # The program's only option is --help, so argparse takes the first
+        # token that is not a flag as the command: when that is a command
+        # name, it is the first command name in argv.
+        command = next((arg for arg in argv if arg in _COMMANDS), None)
+        return run(build_parser(command).parse_args(argv))
     except ValidityError as exc:
         print(f"error: validity: {exc}", file=sys.stderr)
         return 2

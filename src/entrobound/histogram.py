@@ -11,15 +11,17 @@ M is at most 2^53: beyond it float64 cannot tell neighbouring bin edges
 apart, so binning rejects larger M.
 
 This module is the only one that knows the bin rule and the key format.
-``_bin_keys`` quantizes serially in cache-sized blocks of 2^16 rows and,
-within a block, on one contiguous column at a time.  Each column takes a
-certified floor of x*M, which is the bin index except within a few ulps of a
-bin edge; only a column with a coordinate there goes through the exact edge
-fix-up (see ``_bin_indices``).  The column's indices are then folded into
-the block's row-major integer keys.  ``_tally`` counts the keys with a dense
-``bincount`` only when the grid is small (M^K <= 4N), otherwise by sorting
-them, so memory stays O(N).  ``build_histogram`` and
-``estimators.discrete_mi_plugin`` both bin and count through these two.
+``_bin_keys`` quantizes serially in cache-sized blocks of rows.  Each block
+is copied once into a contiguous (K, B) array, one row per coordinate, and
+takes one certified floor of x*M, which is the bin index except within a
+few ulps of a bin edge; only a block with a coordinate there goes through
+the exact edge fix-up (see ``_certified_floor``).  The block's K index rows
+are then folded into its row-major keys: in float64 while M^K <= 2^53,
+where every key is an exact float integer, and in int64 up to 62 bits.
+``_tally`` counts the keys with a dense ``bincount`` only when the grid is
+small (M^K <= 4N), otherwise by sorting them, so memory stays O(N).
+``build_histogram`` and ``estimators.discrete_mi_plugin`` both bin through
+``_bin_keys``.
 
 A histogram stores only its occupied keys (at most N) and their counts, as
 two arrays in row-major bin order; the plug-in estimate reads only the
@@ -50,13 +52,13 @@ __all__ = [
 # A bin index is a K-tuple of integers, each in [0, M-1].
 BinIndex = tuple[int, ...]
 
-# Rows quantized per step: keeps the float and index temporaries in cache.
-_BLOCK_ROWS = 1 << 16
+# Rows quantized per block: keeps the (K, B) float temporaries in cache.
+_BLOCK_ROWS = 1 << 14
 
 # Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
 # and the edge fix-up in _fix_edges takes exact integer steps.  From 2^50 on
-# the certified floor of _bin_indices flags every coordinate as near an edge.
+# _certified_floor flags every coordinate as near an edge.
 _MAX_BINS = 2**53
 
 class _CountsView(Mapping):
@@ -172,7 +174,7 @@ def quantize_index(x, M: int) -> BinIndex:
     lower corner always maps back to that bin even when x*M itself rounds
     across the edge.  Every sample that ``build_histogram`` or
     ``discrete_mi_plugin`` bins goes by the same rule, through ``_bin_keys``
-    and ``_bin_indices``.
+    and ``_certified_floor``.
     """
     M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -194,10 +196,17 @@ def _bin_count(M) -> int:
 def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
     """Bin index of every coordinate of points in [0, 1]; M must pass ``_bin_count``.
 
+    The int64 cast of ``_certified_floor``, with points' shape.
+    """
+    return _certified_floor(points, M).astype(np.int64)
+
+
+def _certified_floor(x: np.ndarray, M: int) -> np.ndarray:
+    """The bin rule's index of every coordinate of x in [0, 1], as exact float64 integers.
+
     The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
-    fl(i/M) is the correctly rounded edge.  The result has points' shape;
-    ``_bin_keys``, the only caller besides ``quantize_index``, passes one
-    contiguous column at a time.
+    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``; the
+    result has x's shape.  ``_bin_keys`` passes one (K, B) block at a time.
 
     Certified floor.  Let f = fl(x*M), i = floor(f) and r = f - i, which is
     exact (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
@@ -215,7 +224,6 @@ def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
     leaves unflagged elements as they are, and random data below M = 2^50
     is almost never flagged at all.
     """
-    x = np.ravel(points)  # a view when points is contiguous
     f = x * M
     idx = np.floor(f)
     f -= idx
@@ -224,7 +232,7 @@ def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
     near |= f > 1.0 - delta
     if near.any():
         _fix_edges(idx, x, M)
-    return idx.astype(np.int64).reshape(np.shape(points))
+    return idx
 
 
 def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
@@ -240,32 +248,39 @@ def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
 def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
     """Row-major flat bin key of every row of (n, K) points; M must pass ``_bin_count``.
 
-    Rows are quantized in blocks of ``_BLOCK_ROWS``, one contiguous column
-    at a time, by ``_bin_indices``.  When K * log2(M) >= 62 a flat key could
-    overflow int64, and the result is the (n, K) bin index rows instead.  A
-    row outside [0, 1]^K raises ``OutOfSupportError`` naming the first one.
+    Rows are quantized in blocks of ``_BLOCK_ROWS``.  Each block is copied
+    once into a contiguous (K, B) array (a view for Fortran-order input),
+    checked against the unit cube and quantized by one ``_certified_floor``
+    call.  While M^K <= 2^53 every key is an exact float64 integer, so the
+    rows are folded into keys in float64 and cast once; up to 62 bits they
+    are folded in int64; beyond that a flat key could overflow int64, and
+    the result is the (n, K) bin index rows instead.  A row outside
+    [0, 1]^K raises ``OutOfSupportError`` naming the first one.
     """
     n, k = points.shape
-    # Beyond 62 bits a row-major key would overflow int64: keep index rows.
-    packed = math.log2(M) * k < 62
+    grid = M**k
+    packed = grid < 2**62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         block = points[start:start + _BLOCK_ROWS]
+        # Every elementwise op runs on contiguous rows of the (K, B) copy: on
+        # a strided (B, K) view numpy's inner loops would be K elements long.
+        cols = np.ascontiguousarray(block.T)
+        if not (cols.min() >= 0.0 and cols.max() <= 1.0):  # NaN fails both
+            _check_unit_cube(block, start)  # names the first bad row
+        idx = _certified_floor(cols, M)
         key = keys[start:start + _BLOCK_ROWS]
-        for j in range(k):
-            # Every elementwise op runs on a contiguous column: on a strided
-            # (B, K) view numpy's inner loops would be K elements long.
-            x = np.ascontiguousarray(block[:, j])
-            if not (x.min() >= 0.0 and x.max() <= 1.0):  # NaN fails both
-                _check_unit_cube(block, start)  # names the first bad row
-            idx = _bin_indices(x, M)
-            if not packed:
-                key[:, j] = idx
-            elif j == 0:
-                key[:] = idx
-            else:  # Horner: ((i_0 * M + i_1) * M + i_2) ...
-                key *= M
-                key += idx
+        if not packed:
+            key[:] = idx.T
+            continue
+        if grid > 2**53:  # float64 would round the keys: fold in int64
+            idx = idx.astype(np.int64)
+        # Horner: ((i_0 * M + i_1) * M + i_2) ..., exact in either dtype.
+        acc = idx[0]
+        for j in range(1, k):
+            acc *= M
+            acc += idx[j]
+        key[:] = acc
     return keys
 
 

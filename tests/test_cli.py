@@ -74,6 +74,18 @@ def test_usage_error_is_one_line(argv, message, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_help_lists_the_commands_options(command, capsys):
+    """Each command's --help shows its own options, whichever it is."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0 and out.startswith(f"usage: entrobound {command} ")
+    flags = {word.strip("[],") for word in out.split() if word.startswith(("--", "[--"))}
+    assert flags == {"--help", "--config"} | {
+        f"--{opt.replace('_', '-')}" for opt in cli._COMMANDS[command][2]}
+
+
 def test_config_key_the_command_does_not_accept(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("tol = 1\n")

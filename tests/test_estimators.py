@@ -164,8 +164,27 @@ class TestOneMatrix:
         monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
         report = estimate_mi_certified(samples, k1, 16.0, 0.1)
         assert _report_bits(report) == expected
-        assert [term.shape[1] for term in seen] == [k1, 3 - k1, 3]
+        assert [term.shape[1] for term in seen] == [3, max(k1, 3 - k1), min(k1, 3 - k1)]
         assert all(np.shares_memory(term, samples) for term in seen)
+
+
+@pytest.mark.parametrize("k1, k2", [(1, 2), (2, 1)])
+def test_terms_start_largest_first(k1, k2, monkeypatch):
+    """The joint starts first, then the wider marginal, then the narrower one."""
+    monkeypatch.setenv("ENTROBOUND_THREADS", "1")
+    pts = generator(62).random((2**16 + 1, k1 + k2))
+    started = []
+    certified = estimators.estimate_entropy_certified
+
+    def spy(term, *args, **kwargs):
+        started.append("joint" if term.shape[1] == k1 + k2
+                       else "x" if np.shares_memory(term, pts[:, 0]) else "y")
+        return certified(term, *args, **kwargs)
+
+    monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
+    report = estimate_mi_certified(pts, k1, 2.0 ** (k1 + k2 + 1), 0.1)
+    assert started == (["joint", "y", "x"] if k2 > k1 else ["joint", "x", "y"])
+    assert [part.params.K for part in report.components] == [k1, k2, k1 + k2]
 
 
 _BLOCK_NS = [2**16 + 1, 3 * 2**16 + 5]
@@ -222,6 +241,27 @@ class TestTermPool:
             messages.add(str(exc.value))
         assert len(messages) == 1
         assert "sample 65536 lies outside [0, 1]^K: [1.5]" in messages.pop()
+
+    @pytest.mark.parametrize("k1, bad_column, expected", [
+        (1, 2, "sample 65536 lies outside [0, 1]^K: [0.25, 1.5]"),
+        (2, 0, "sample 65536 lies outside [0, 1]^K: [1.5, 0.25]"),
+    ], ids=["y-bad", "wider-x-bad"])
+    def test_marginal_error_wins_over_joint(self, k1, bad_column, expected, monkeypatch):
+        """The joint starts first, yet the bad marginal's error is raised at any thread count.
+
+        Only y is bad at k1 = 1; x is the wider marginal at k1 = 2.
+        """
+        pts = generator(92).random((2**16 + 1, 3))
+        pts[65536] = 0.25
+        pts[65536, bad_column] = 1.5
+        messages = set()
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+            with pytest.raises(OutOfSupportError) as exc:
+                estimate_mi_certified(pts, k1, 16.0, 0.1)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert expected in messages.pop()
 
 
 class TestPinnedEntropyEstimator:

@@ -403,7 +403,15 @@ def fixed(monkeypatch):
     return sizes
 
 
+def _block_sizes(N, K):
+    """Sizes of the (K, B) blocks ``_bin_keys`` quantizes N rows in."""
+    B = histogram._BLOCK_ROWS
+    return [K * min(B, N - start) for start in range(0, N, B)]
+
+
 class TestFlaggedColumns:
+    """A block with a flagged coordinate goes through the fix-up whole, once."""
+
     def test_no_flags_skip_the_fix_up(self, fixed):
         points = generator(4100).random((2**16 + 1, 2))
         _assert_matches_references(points, 10)
@@ -414,7 +422,8 @@ class TestFlaggedColumns:
         points[[5, 100], 0] = 0.3  # 0.3 * 10 rounds within an ulp of the edge 3
         points[2**16, 0] = 1.0
         build_histogram(points, 10)
-        assert fixed == [2**16, 1]  # block 0 column 0, block 1 column 0
+        sizes = _block_sizes(2**16 + 1, 2)
+        assert fixed == [sizes[0], sizes[-1]]  # the first block and the last
         _assert_matches_references(points, 10)
 
     @pytest.mark.parametrize("M", [7, 72])
@@ -422,13 +431,13 @@ class TestFlaggedColumns:
         rng = generator(4102 + M)
         points = rng.choice(_edge_pool(M, rng), size=(2**16 - 1, 3))
         build_histogram(points, M)
-        assert fixed == [2**16 - 1] * 3
+        assert fixed == _block_sizes(2**16 - 1, 3)
         _assert_matches_references(points, M)
 
     def test_all_zeros_fix_the_whole_column(self, fixed):
         points = np.zeros((2**16 + 1, 2))
         hist = build_histogram(points, 72)
-        assert fixed == [2**16, 2**16, 1, 1]
+        assert fixed == _block_sizes(2**16 + 1, 2)
         assert hist.bins.tolist() == [[0, 0]] and hist.tally.tolist() == [2**16 + 1]
 
 
@@ -441,6 +450,43 @@ def test_index_rows_path_matches_reference(layout):
     if layout == "reversed rows":
         points = points[::-1]
     _assert_matches_references(points, M)
+
+
+def _fold_bin_counts(K):
+    """7, and the bin counts with M^K just below 2^53 and just above it (at it, for K = 1)."""
+    M = math.floor(2 ** (53 / K))
+    while M**K > 2**53:
+        M -= 1
+    while (M + 1) ** K <= 2**53:
+        M += 1
+    return [7, M, M + 1] if K > 1 else [7, M - 1, M]
+
+
+_B = histogram._BLOCK_ROWS
+
+
+# N across one, two and four blocks; M^K on both sides of 2^53, where the
+# keys are folded in float64 below and in int64 above.
+@pytest.mark.parametrize("N", [_B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("K, M", [(K, M) for K in (1, 2, 3, 4) for M in _fold_bin_counts(K)])
+def test_bin_keys_match_raveled_reference(K, M, N):
+    rng = generator(4400 + 10 * K + N % 7)
+    wide = rng.random((N, 2 * K))
+    # Edge coordinates in the first and the last rows: the other blocks
+    # skip the fix-up below M = 2^50.
+    wide[:50] = rng.choice(_edge_pool(M, rng), size=(50, 2 * K))
+    wide[-5:] = rng.choice(_edge_pool(M, rng), size=(5, 2 * K))
+    points = np.ascontiguousarray(wide[:, :K])
+    layouts = {
+        "C order": points,
+        "Fortran order": np.asfortranarray(points),
+        "column-strided": wide[:, ::2],
+        "row-reversed": points[::-1],
+    }
+    for layout, pts in layouts.items():
+        expected = np.ravel_multi_index(tuple(_reference_bin_indices(pts, M).T), (M,) * K)
+        keys = histogram._bin_keys(pts, M)
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected), layout
 
 
 def _cube_message(row, values):
