@@ -11,10 +11,11 @@ and whose other columns are y, so x, y and the joint are all views of it.
 The three terms are independent, so on more than 2^16 rows they run on the
 worker pool ``_map_ordered``, which also runs the CLI's ``coverage`` trials;
 nothing else in entrobound runs in parallel, and each histogram is serial.
-The terms start largest first, at any thread count: the joint, then the
-wider marginal, then the narrower one, so the joint (about half the work)
-does not wait for a marginal to finish.  Results and errors still come back
-in x, y, joint order: when several terms fail, x's error is raised first.
+The terms start in the order joint, x, y at any thread count, so the joint
+(about half the work) does not wait for a marginal to finish: two workers
+run it beside the two marginals back to back, three run all at once.
+Results and errors still come back in x, y, joint order: when several terms
+fail, x's error is raised first.
 
 The demo harnesses construct the distributions on which a fixed estimator
 must fail: a contamination mixture whose entropy sits far from anything the
@@ -55,7 +56,7 @@ from .histogram import (
     _MAX_BINS,
     _as_points,
     _bin_count,
-    _bin_keys,
+    _bin_ranks,
     _count_entropy,
     estimate_differential_entropy,
 )
@@ -207,23 +208,18 @@ def estimate_mi_certified(
     k1 = as_int("k1", k1)
     if k1 >= joint.shape[1]:
         raise ValueError(f"k1 must lie in [1, K - 1], got {k1!r} with K = {joint.shape[1]}")
-    terms = (joint[:, :k1], joint[:, k1:], joint)
-    # Largest term first, so that the joint, about half the work, starts at
-    # once: joint, wider marginal, narrower marginal (x first on a tie).
-    order = sorted(range(3), key=lambda i: -terms[i].shape[1])
+    terms = (joint, joint[:, :k1], joint[:, k1:])  # the joint starts first
 
     def term(i: int):
         try:
             return estimate_entropy_certified(terms[i], L, delta / 3.0, seed=seed)
-        except Exception as exc:  # re-raised below, in term order
+        except Exception as exc:  # re-raised below, in x, y, joint order
             return exc
 
-    done = _map_ordered(
-        lambda j: term(order[j]),
-        len(terms),
-        _default_threads() if joint.shape[0] > _MI_POOL_ROWS else 1,
+    joint_part, *marginals = _map_ordered(
+        term, len(terms), _default_threads() if joint.shape[0] > _MI_POOL_ROWS else 1
     )
-    parts = tuple(done[order.index(i)] for i in range(3))
+    parts = (*marginals, joint_part)
     for part in parts:  # x's error wins over y's, y's over the joint's
         if isinstance(part, Exception):
             raise part
@@ -289,19 +285,16 @@ def discrete_mi_plugin(x_samples, y_labels, M_bins: int) -> float:
     """
     M_bins = _bin_count(M_bins)
     pts = _as_points(x_samples)
-    keys = _bin_keys(pts, M_bins)
+    x_rank, cx = _bin_ranks(pts, M_bins)
     y = np.asarray(y_labels).reshape(-1)
     if pts.shape[0] != y.shape[0]:
         raise ValueError(f"sample counts differ: {pts.shape[0]} vs {y.shape[0]}")
     n = y.shape[0]
     if n == 0:
         raise ValueError("no samples")
-    # x_rank: each row's index among x's occupied bins, in row-major order.
-    _, x_rank, cx = np.unique(keys, axis=0 if keys.ndim == 2 else None,
-                              return_inverse=True, return_counts=True)
     _, y_inverse, cy = np.unique(y, return_inverse=True, return_counts=True)
     # One key per (x bin, label) pair, below n * len(cy): sorted like the pairs.
-    _, cxy = np.unique(x_rank.reshape(-1) * cy.size + y_inverse, return_counts=True)
+    _, cxy = np.unique(x_rank * cy.size + y_inverse, return_counts=True)
     return _count_entropy(cx, n) + _count_entropy(cy, n) - _count_entropy(cxy, n)
 
 

@@ -15,13 +15,12 @@ This module is the only one that knows the bin rule and the key format.
 is copied once into a contiguous (K, B) array, one row per coordinate, and
 takes one certified floor of x*M, which is the bin index except within a
 few ulps of a bin edge; only a block with a coordinate there goes through
-the exact edge fix-up (see ``_certified_floor``).  The block's K index rows
-are then folded into its row-major keys: in float64 while M^K <= 2^53,
-where every key is an exact float integer, and in int64 up to 62 bits.
-``_tally`` counts the keys with a dense ``bincount`` only when the grid is
-small (M^K <= 4N), otherwise by sorting them, so memory stays O(N).
-``build_histogram`` and ``estimators.discrete_mi_plugin`` both bin through
-``_bin_keys``.
+the exact edge fix-up (see ``_bin_indices``).  The block's K index rows are
+then folded into its row-major int64 keys while M^K < 2^62.  ``_tally``
+counts the keys with a dense ``bincount`` only when the grid is small
+(M^K <= 4N), otherwise by sorting them, so memory stays O(N); ``_bin_ranks``
+gives each row the rank of its bin among the occupied ones, for
+``estimators.discrete_mi_plugin``.  Only these three read the key layout.
 
 A histogram stores only its occupied keys (at most N) and their counts, as
 two arrays in row-major bin order; the plug-in estimate reads only the
@@ -52,13 +51,15 @@ __all__ = [
 # A bin index is a K-tuple of integers, each in [0, M-1].
 BinIndex = tuple[int, ...]
 
-# Rows quantized per block: keeps the (K, B) float temporaries in cache.
-_BLOCK_ROWS = 1 << 14
+# Rows quantized per block: keeps the (K, B) temporaries in cache.  2^14
+# rows were as fast on one thread, but slower with two threads binning at
+# once, as coverage's trials do.
+_BLOCK_ROWS = 1 << 15
 
 # Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
 # and the edge fix-up in _fix_edges takes exact integer steps.  From 2^50 on
-# _certified_floor flags every coordinate as near an edge.
+# _bin_indices flags every coordinate as near an edge.
 _MAX_BINS = 2**53
 
 class _CountsView(Mapping):
@@ -99,7 +100,7 @@ class SparseHistogram:
     """Occupied bins of the M^K grid and their counts, over N samples.
 
     ``keys`` holds the occupied bins in row-major order: the (n_occ,) int64
-    row-major flat keys, or, when K * log2(M) >= 62 would overflow them, the
+    row-major flat keys, or, when M^K >= 2^62 would overflow them, the
     (n_occ, K) int64 bin index rows.  ``tally`` is the (n_occ,) int64 array
     of their counts; both are read-only, and the plug-in estimate reads only
     ``tally``.  ``bins`` decodes ``keys`` into the (n_occ, K) index rows on
@@ -174,7 +175,7 @@ def quantize_index(x, M: int) -> BinIndex:
     lower corner always maps back to that bin even when x*M itself rounds
     across the edge.  Every sample that ``build_histogram`` or
     ``discrete_mi_plugin`` bins goes by the same rule, through ``_bin_keys``
-    and ``_certified_floor``.
+    and ``_bin_indices``.
     """
     M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
@@ -193,20 +194,12 @@ def _bin_count(M) -> int:
     return M
 
 
-def _bin_indices(points: np.ndarray, M: int) -> np.ndarray:
-    """Bin index of every coordinate of points in [0, 1]; M must pass ``_bin_count``.
-
-    The int64 cast of ``_certified_floor``, with points' shape.
-    """
-    return _certified_floor(points, M).astype(np.int64)
-
-
-def _certified_floor(x: np.ndarray, M: int) -> np.ndarray:
-    """The bin rule's index of every coordinate of x in [0, 1], as exact float64 integers.
+def _bin_indices(x: np.ndarray, M: int) -> np.ndarray:
+    """The int64 bin index of every coordinate of x in [0, 1], with x's shape.
 
     The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
-    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``; the
-    result has x's shape.  ``_bin_keys`` passes one (K, B) block at a time.
+    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``.
+    ``_bin_keys`` passes one (K, B) block at a time.
 
     Certified floor.  Let f = fl(x*M), i = floor(f) and r = f - i, which is
     exact (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
@@ -232,7 +225,7 @@ def _certified_floor(x: np.ndarray, M: int) -> np.ndarray:
     near |= f > 1.0 - delta
     if near.any():
         _fix_edges(idx, x, M)
-    return idx
+    return idx.astype(np.int64)
 
 
 def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
@@ -250,16 +243,14 @@ def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
 
     Rows are quantized in blocks of ``_BLOCK_ROWS``.  Each block is copied
     once into a contiguous (K, B) array (a view for Fortran-order input),
-    checked against the unit cube and quantized by one ``_certified_floor``
-    call.  While M^K <= 2^53 every key is an exact float64 integer, so the
-    rows are folded into keys in float64 and cast once; up to 62 bits they
-    are folded in int64; beyond that a flat key could overflow int64, and
-    the result is the (n, K) bin index rows instead.  A row outside
-    [0, 1]^K raises ``OutOfSupportError`` naming the first one.
+    checked against the unit cube and quantized by one ``_bin_indices``
+    call, and its K index rows are folded into int64 keys.  From
+    M^K >= 2^62 on a flat key could overflow int64, and the result is the
+    (n, K) bin index rows instead.  A row outside [0, 1]^K raises
+    ``OutOfSupportError`` naming the first one.
     """
     n, k = points.shape
-    grid = M**k
-    packed = grid < 2**62
+    packed = M**k < 2**62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
         block = points[start:start + _BLOCK_ROWS]
@@ -268,14 +259,12 @@ def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
         cols = np.ascontiguousarray(block.T)
         if not (cols.min() >= 0.0 and cols.max() <= 1.0):  # NaN fails both
             _check_unit_cube(block, start)  # names the first bad row
-        idx = _certified_floor(cols, M)
+        idx = _bin_indices(cols, M)
         key = keys[start:start + _BLOCK_ROWS]
         if not packed:
             key[:] = idx.T
             continue
-        if grid > 2**53:  # float64 would round the keys: fold in int64
-            idx = idx.astype(np.int64)
-        # Horner: ((i_0 * M + i_1) * M + i_2) ..., exact in either dtype.
+        # Horner: ((i_0 * M + i_1) * M + i_2) ..., exact below 2^62.
         acc = idx[0]
         for j in range(1, k):
             acc *= M
@@ -298,6 +287,18 @@ def _tally(keys: np.ndarray, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
         occupied = np.flatnonzero(tally)
         return occupied, tally[occupied]
     return np.unique(keys, return_counts=True)
+
+
+def _bin_ranks(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's rank among the occupied bins of (n, K) points, and their counts.
+
+    Ranks and counts follow row-major bin order, as in ``_tally``; M must
+    pass ``_bin_count``.
+    """
+    keys = _bin_keys(points, M)
+    _, rank, counts = np.unique(keys, axis=0 if keys.ndim == 2 else None,
+                                return_inverse=True, return_counts=True)
+    return rank.reshape(-1), counts
 
 
 def build_histogram(samples, M: int) -> SparseHistogram:

@@ -452,7 +452,7 @@ def test_index_rows_path_matches_reference(layout):
     _assert_matches_references(points, M)
 
 
-def _fold_bin_counts(K):
+def _bin_counts_near_2_53(K):
     """7, and the bin counts with M^K just below 2^53 and just above it (at it, for K = 1)."""
     M = math.floor(2 ** (53 / K))
     while M**K > 2**53:
@@ -465,10 +465,10 @@ def _fold_bin_counts(K):
 _B = histogram._BLOCK_ROWS
 
 
-# N across one, two and four blocks; M^K on both sides of 2^53, where the
-# keys are folded in float64 below and in int64 above.
+# N across one, two and four blocks; M^K on both sides of 2^53, the largest
+# grid whose every key a float64 holds exactly.
 @pytest.mark.parametrize("N", [_B - 1, _B, _B + 1, 3 * _B + 5])
-@pytest.mark.parametrize("K, M", [(K, M) for K in (1, 2, 3, 4) for M in _fold_bin_counts(K)])
+@pytest.mark.parametrize("K, M", [(K, M) for K in (1, 2, 3, 4) for M in _bin_counts_near_2_53(K)])
 def test_bin_keys_match_raveled_reference(K, M, N):
     rng = generator(4400 + 10 * K + N % 7)
     wide = rng.random((N, 2 * K))
