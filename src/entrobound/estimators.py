@@ -464,7 +464,12 @@ def prop1_demo(
 
 
 class _PinnedMiEstimator:
-    """Certified MI estimator frozen for fixed N: x on [0,1], y on [-2,1]."""
+    """The MI demo's default victim: ``estimate_mi_certified`` at L = 1 on
+    x in [0,1] and y in [-2,1] rescaled to [0,1].
+
+    Each call re-optimizes its three bin counts for the rows it gets, so it
+    is not frozen for a fixed N the way PinnedEntropyEstimator is.
+    """
 
     assumed_L = 1.0
 

@@ -145,12 +145,13 @@ def _index_rows(keys: np.ndarray, M: int, K: int) -> np.ndarray:
 
 
 def _as_points(samples) -> np.ndarray:
-    """Coerce input to an (N, K) float array; 1-D input is K=1."""
+    """Coerce input to an (N, K) float array with K >= 1; 1-D input is K=1."""
     arr = np.asarray(samples, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"samples must be an (N, K) array, got shape {arr.shape}")
+    as_int("dimension K", arr.shape[1])
     return arr
 
 
@@ -179,6 +180,7 @@ def quantize_index(x, M: int) -> BinIndex:
     """
     M = _bin_count(M)
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
+    as_int("dimension K", arr.size)
     _check_unit_cube(arr.reshape(1, -1))
     return tuple(int(i) for i in _bin_indices(arr, M))
 

@@ -14,9 +14,11 @@ returns both sides so callers can assert them:
   * |h(p) - h(q)| <= eps * log(A/eps) for uniformly close densities
     (check_entropy_continuity).
 
-Quadrature error estimates are the last refinement difference; they can
-under-report features narrower than the final grid, which is why tolerances
-are exposed rather than asserted a priori.
+One refinement loop (``_refine``) computes both the integrals and the
+quantized companion's cell masses.  Its error estimate is the last
+refinement difference; that can under-report features narrower than the
+final grid, which is why tolerances are exposed rather than asserted a
+priori.
 """
 from __future__ import annotations
 
@@ -52,6 +54,9 @@ __all__ = [
 # Hard ceiling on evaluation points per refinement level; with the 24-level
 # cap this bounds both runtime and memory for any dimension.
 _MAX_POINTS_PER_LEVEL = 2**24
+# Only a grid of at least this many points may stop a refinement, so coarse
+# grids that agree by chance (before any point hits a narrow feature) cannot.
+_MIN_POINTS = 1024
 _CHUNK = 2**20
 _MAX_LEVELS = 24
 
@@ -90,6 +95,30 @@ def _midpoint_level(
     return acc * float(np.prod(step))
 
 
+def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float, max_n=math.inf):
+    """Evaluate at n, 2n, 4n, ... points per axis until two grids in a row
+    agree within ``tol`` (in their largest absolute difference).
+
+    Returns (value, difference, n), or None once n would pass ``max_n``;
+    raises QuadratureError past _MAX_POINTS_PER_LEVEL points per grid.
+    """
+    prev = None
+    while n <= max_n:
+        if n**K > _MAX_POINTS_PER_LEVEL:
+            raise QuadratureError(
+                f"integration did not reach tol={tol:g} within the "
+                f"{_MAX_POINTS_PER_LEVEL} points-per-level budget (K={K})"
+            )
+        value = evaluate(n)
+        if prev is not None:
+            diff = float(np.max(np.abs(value - prev)))
+            if diff < tol:
+                return value, diff, n
+        prev = value
+        n *= 2
+    return None
+
+
 def integrate_box(
     integrand: Callable[[np.ndarray], np.ndarray],
     box,
@@ -98,13 +127,11 @@ def integrate_box(
 ) -> QuadratureResult:
     """Integrate over an axis-aligned box by midpoint rule with dyadic refinement.
 
-    Refines until two consecutive levels differ by less than ``tol``; raises
-    QuadratureError when the level cap or the per-level point budget is
-    exhausted first.  Convergence may only fire once the grid has at least
-    1024 points, so coincidental agreement between very coarse levels (e.g. a
-    narrow feature that no early midpoint has hit yet) cannot stop the
-    refinement; features narrower than that floor can still be missed, which
-    is what the reported ``est_error`` cannot see.
+    Runs ``_refine`` over 2^level cells per axis, from the first level whose
+    grid has at least _MIN_POINTS points up to ``max_levels``, so features
+    narrower than that floor can still be missed, which is what the reported
+    ``est_error`` cannot see.  Raises QuadratureError when the level cap or
+    the per-level point budget is exhausted first.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -114,20 +141,15 @@ def integrate_box(
     if np.any(widths <= 0.0):
         raise ValueError(f"integration box has nonpositive side: {widths.tolist()}")
     K = lo.shape[0]
-    min_level = max(1, math.ceil(10.0 / K))
-    prev = None
-    for level in range(max_levels + 1):
-        m = 2**level
-        if m**K > _MAX_POINTS_PER_LEVEL:
-            raise QuadratureError(
-                f"integration did not reach tol={tol:g} within the "
-                f"{_MAX_POINTS_PER_LEVEL} points-per-level budget (K={K})"
-            )
-        value = _midpoint_level(integrand, lo, widths, m)
-        if level > min_level and abs(value - prev) < tol:
-            return QuadratureResult(value=value, est_error=abs(value - prev), grid_cells=m**K)
-        prev = value
-    raise QuadratureError(f"integration did not converge in {max_levels} refinement levels")
+    first_level = max(1, math.ceil(math.log2(_MIN_POINTS) / K))
+    found = _refine(
+        lambda m: _midpoint_level(integrand, lo, widths, m),
+        2**first_level, K, tol, max_n=2**max_levels,
+    )
+    if found is None:
+        raise QuadratureError(f"integration did not converge in {max_levels} refinement levels")
+    value, est_error, m = found
+    return QuadratureResult(value=value, est_error=est_error, grid_cells=m**K)
 
 
 def _neg_xlogx(v: np.ndarray) -> np.ndarray:
@@ -170,30 +192,19 @@ def numeric_kl(p: DensityModel, q: DensityModel, tol: float = 1e-10) -> Quadratu
 
 
 def _cell_masses(model: DensityModel, M: int, tol: float = 1e-10) -> np.ndarray:
-    """Masses of the M^K grid cells of [0,1]^K under the model, by quadrature."""
+    """Masses of the M^K grid cells of [0,1]^K under the model, by quadrature:
+    each is M^-K times the mean of the pdf at g^K midpoints inside the cell."""
     K = model.K
-    masses = None
-    # Resolve at least ~1024 grid points before trusting agreement, so
-    # features narrower than a cell cannot fake convergence.
-    per_axis_min = math.ceil(1024.0 ** (1.0 / K))
-    g = max(1, math.ceil(per_axis_min / M))
-    while True:
-        per_axis = M * g
-        if per_axis**K > _MAX_POINTS_PER_LEVEL:
-            raise QuadratureError(
-                f"cell-mass refinement exceeded the point budget at M={M}, K={K}"
-            )
+
+    def masses(per_axis: int) -> np.ndarray:
+        g = per_axis // M
         centers = (np.arange(per_axis) + 0.5) / per_axis
         vals = np.concatenate([model.pdf(pts) for pts in _grid_chunks([centers] * K)])
-        vals = vals.reshape((per_axis,) * K)
-        # Average the g^K sub-points inside each of the M^K cells.
         blocked = vals.reshape(sum(((M, g) for _ in range(K)), ()))
-        cell_means = blocked.mean(axis=tuple(range(1, 2 * K, 2)))
-        new_masses = cell_means / float(M**K)
-        if masses is not None and float(np.max(np.abs(new_masses - masses))) < tol:
-            return new_masses
-        masses = new_masses
-        g *= 2
+        return blocked.mean(axis=tuple(range(1, 2 * K, 2))) / float(M**K)
+
+    g0 = max(1, math.ceil(math.ceil(_MIN_POINTS ** (1.0 / K)) / M))
+    return _refine(masses, M * g0, K, tol)[0]
 
 
 def quantized_companion(model: DensityModel, M: int, tol: float = 1e-10) -> DensityModel:
@@ -321,25 +332,25 @@ class ContinuityCheck(NamedTuple):
 
 
 def check_entropy_continuity(
-    p: DensityModel, q: DensityModel, eps: float, A: float, tol: float = 1e-6
+    h_p: QuadratureResult, h_q: QuadratureResult, eps: float, A: float
 ) -> ContinuityCheck:
     """Entropy difference |h(p) - h(q)| next to the bound eps * log(A / eps).
 
-    ``eps`` must uniformly bound |p - q| and ``A`` must bound p (the caller
-    establishes both, e.g. via check_density_gap and check_sup_bound).  The
-    bound's derivation additionally wants eps/A <= alpha; that condition is
-    reported via ``alpha_ok`` rather than enforced, since the inequality is
-    loose enough to hold some way below the threshold.  Assert
-    lhs <= rhs + quad_error (or + 2*tol).
+    ``h_p`` and ``h_q`` are the two entropies, as ``numeric_entropy``
+    returns them; this check runs no quadrature.  ``eps`` must uniformly
+    bound |p - q| and ``A`` must bound p (the caller establishes both, e.g.
+    via check_density_gap and check_sup_bound).  The bound's derivation
+    additionally wants eps/A <= alpha; that condition is reported via
+    ``alpha_ok`` rather than enforced, since the inequality is loose enough
+    to hold some way below the threshold.  Assert lhs <= rhs + quad_error
+    (or + 2*tol for the tol both entropies were integrated to).
     """
     if not (eps > 0.0) or not (A > 0.0):
         raise ValueError(f"eps and A must be positive, got eps={eps!r}, A={A!r}")
-    hp = numeric_entropy(p, tol)
-    hq = numeric_entropy(q, tol)
     return ContinuityCheck(
-        lhs=abs(hp.value - hq.value),
+        lhs=abs(h_p.value - h_q.value),
         rhs=eps * math.log(A / eps),
-        quad_error=hp.est_error + hq.est_error,
+        quad_error=h_p.est_error + h_q.est_error,
         alpha_ok=eps / A <= alpha_const(),
     )
 

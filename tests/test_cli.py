@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entrobound import cli
+from entrobound import cli, oracle
+from entrobound.densities import tent_density
 from entrobound.cli import emit_csv, emit_f64le, ingest, main
 from entrobound.errors import IngestError
 
@@ -358,6 +359,19 @@ class TestOutChecked:
         assert code == 2 and err.startswith("error: validity:")
         assert drawn and list(tmp_path.iterdir()) == []  # no CSV, no sidecar
 
+    def test_failed_sidecar_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        """A write that fails after the CSV (a full disk) leaves no CSV and no temporary."""
+        def full_disk(path, *args):
+            Path(path).write_text("wall_ti", encoding="utf-8")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(cli, "_write_meta", full_disk)
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(_ESTIMATE_ARGS + ["--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: io: [Errno {errno.ENOSPC}]") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDemoCommands:
     @pytest.mark.parametrize("command", ["prop1-demo", "mi-demo", "kl-demo"])
@@ -383,6 +397,24 @@ class TestVerifyLemmas:
         assert lines[0] == "check,k,m,lhs,rhs,holds"
         assert len(lines) > 10
         assert all(line.endswith("true") for line in lines[1:])
+
+    def test_each_entropy_integrated_once(self, tmp_path, capsys, monkeypatch):
+        """The tent's entropy once per run, each companion's once per M."""
+        real = oracle.numeric_entropy
+        names = []
+
+        def counted(model, *args, **kwargs):
+            names.append(model.name)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "numeric_entropy", counted)
+        monkeypatch.setattr(oracle, "numeric_entropy", counted)
+        monkeypatch.chdir(tmp_path)
+        argv, csv_digest, meta_digest = _GOLDEN_RUNS["verify-lemmas-k2"]
+        assert run_cli(argv + ["--out", "r.csv"], capsys)[0] == 0
+        tent = tent_density(2).name
+        assert names == [tent, f"{tent}-quantized-8", f"{tent}-quantized-16"]
+        assert _output_digests() == (csv_digest, meta_digest)
 
     @pytest.mark.parametrize("in_config", [False, True])
     def test_pairs_below_one_invalid(self, in_config, tmp_path, capsys):
@@ -614,6 +646,9 @@ _GOLDEN_RUNS = {
     "verify-lemmas": (["verify-lemmas", "--k", "1"],
                       "e2dfcf46d7fbdfb2ab682b0d3c541d8c8eed2c7d2e26149cbf65b6a1e15d81dc",
                       "04379f80fb13f0855744d65220ff531879ef6d865c09e12f768c82b6c7142241"),
+    "verify-lemmas-k2": (["verify-lemmas", "--k", "2", "--m-list", "8,16"],
+                         "dc340229754563ee06fcebee9c0a2d278ee1db09e98086bf63f4c3a668bb9b80",
+                         "ce74fd22123d2a2817d9698163f5beaa9782b300765abd3e1f1c938a2b061a3a"),
 }
 # A run driven by a config file that names the command and the output, with a
 # command-line flag overriding one of its values.

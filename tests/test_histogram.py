@@ -64,6 +64,18 @@ class TestQuantizeIndex:
         assert quantize_index([1.0], M) == (M - 1,)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: build_histogram(np.zeros((5, 0)), 4),
+    lambda: estimate_differential_entropy(np.zeros((5, 0)), 4),
+    lambda: discrete_mi_plugin(np.zeros((5, 0)), np.zeros(5), 4),
+    lambda: quantize_index([], 4),
+], ids=["build_histogram", "estimate_differential_entropy", "discrete_mi_plugin",
+        "quantize_index"])
+def test_zero_columns_rejected(call):
+    with pytest.raises(ValueError, match="^dimension K must be an integer >= 1, got 0$"):
+        call()
+
+
 class TestBuildHistogram:
     def test_hand_binning(self):
         hist = build_histogram([[0.1], [0.1], [0.9]], 2)

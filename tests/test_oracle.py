@@ -106,6 +106,19 @@ class TestQuantizedCompanion:
         masses = companion.pdf(centers) / 8
         assert np.allclose(masses, np.array([1, 3, 5, 7, 7, 5, 3, 1]) / 32, atol=1e-12)
 
+    def test_masses_pinned_M12(self):
+        """Tent masses at M=12, bit for bit: 1024 points per axis need g = 86
+        sub-points per cell, so the refinement starts off a power of two."""
+        companion = quantized_companion(tent_density(1), 12)
+        centers = ((np.arange(12) + 0.5) / 12).reshape(-1, 1)
+        masses = companion.pdf(centers) / 12
+        assert [float(m).hex() for m in masses] == [
+            "0x1.c71c71c71c71cp-7", "0x1.5555555555555p-5", "0x1.1c71c71c71c71p-4",
+            "0x1.8e38e38e38e38p-4", "0x1.0000000000000p-3", "0x1.38e38e38e38e3p-3",
+            "0x1.38e38e38e38e2p-3", "0x1.0000000000000p-3", "0x1.8e38e38e38e39p-4",
+            "0x1.1c71c71c71c73p-4", "0x1.5555555555555p-5", "0x1.c71c71c71c71bp-7",
+        ]
+
     @pytest.mark.parametrize("K,M", [(1, 8), (1, 16), (1, 32), (2, 8)])
     def test_discrete_continuous_identity(self, K, M):
         """H(cell pmf) = h(companion) + K log M within quadrature tolerance."""
@@ -224,8 +237,8 @@ class TestXlogxGap:
 
 class TestEntropyContinuity:
     def test_identical_densities(self):
-        tent = tent_density(1)
-        result = check_entropy_continuity(tent, tent, eps=0.1, A=2.0)
+        h_tent = numeric_entropy(tent_density(1))
+        result = check_entropy_continuity(h_tent, h_tent, eps=0.1, A=2.0)
         assert result.lhs == 0.0
         assert result.alpha_ok
 
@@ -233,7 +246,9 @@ class TestEntropyContinuity:
         tent = tent_density(1)
         companion = quantized_companion(tent, 32)
         eps = 4.0 / 64.0
-        result = check_entropy_continuity(tent, companion, eps=eps, A=2.0, tol=1e-6)
+        result = check_entropy_continuity(
+            numeric_entropy(tent, 1e-6), numeric_entropy(companion, 1e-6), eps=eps, A=2.0
+        )
         assert result.rhs == pytest.approx(0.2166084939249829, abs=1e-12)
         assert result.lhs <= result.rhs + 2e-6
         assert result.alpha_ok
@@ -245,9 +260,9 @@ class TestEntropyContinuity:
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
-        tent = tent_density(1)
+        h_tent = numeric_entropy(tent_density(1))
         with pytest.raises(ValueError):
-            check_entropy_continuity(tent, tent, eps=0.0, A=2.0)
+            check_entropy_continuity(h_tent, h_tent, eps=0.0, A=2.0)
 
 
 class TestExactDiscreteEntropy:
