@@ -545,6 +545,8 @@ def _validate_config(config: argparse.Namespace) -> None:
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed!r}")
     _m_values(config.m_list)
     _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):

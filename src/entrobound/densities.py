@@ -10,7 +10,9 @@ with one discrete coordinate, and a pair of step densities with arbitrarily
 large relative entropy.
 
 Models are immutable; samplers take an explicit seed (no global RNG state),
-so parallel trials with split seeds are reproducible.
+so parallel trials with split seeds are reproducible.  The tent samplers
+draw in place: they turn the fresh array of uniform draws into the sample
+itself, with no second (N, K) array.
 """
 from __future__ import annotations
 
@@ -93,7 +95,30 @@ def _tent1_cdf(t: np.ndarray) -> np.ndarray:
 
 
 def _tent1_ppf(u: np.ndarray) -> np.ndarray:
-    return np.where(u <= 0.5, np.sqrt(u / 2.0), 1.0 - np.sqrt((1.0 - u) / 2.0))
+    """Tent inverse CDF, written over ``u`` in place; returns ``u``.
+
+    The reference form is ``where(u <= 1/2, sqrt(u/2), 1 - sqrt((1-u)/2))``,
+    which evaluates both branches on every draw.  Here ``c = rint(u)`` is 0
+    for u <= 1/2 (the tie at 1/2 rounds to even) and 1 above, and each step
+    is the reference's own IEEE operation on the same operands, so on the
+    domain [0, 1] the result is bit-identical:
+
+    - ``|u - c|`` is u, or 1 - u exactly (Sterbenz: 1/2 <= u <= 1);
+    - halving it equals dividing it by 2, as both are correctly rounded;
+    - one square root s;
+    - ``|c - s|`` is s, or 1 - s with s <= 1/2.
+
+    The only difference is that -0.0 maps to +0.0; ``Generator.random``
+    never returns -0.0.  One temporary, ``c``, is allocated.
+    """
+    c = np.rint(u)
+    np.subtract(u, c, out=u)
+    np.abs(u, out=u)
+    np.multiply(u, 0.5, out=u)
+    np.sqrt(u, out=u)
+    np.subtract(c, u, out=u)
+    np.abs(u, out=u)
+    return u
 
 
 def tent_density(K: int) -> DensityModel:
@@ -101,7 +126,8 @@ def tent_density(K: int) -> DensityModel:
 
     Per coordinate the pdf is 4t on [0, 1/2] and 4(1-t) on [1/2, 1]; the
     product is 2^(K+1)-Lipschitz w.r.t. the l1 norm and has exact entropy
-    K * (1/2 - log 2).  Sampling is by per-coordinate inverse CDF.
+    K * (1/2 - log 2).  Sampling is by per-coordinate inverse CDF, computed
+    in place over the uniform draws.
     """
     K = as_int("dimension K", K)
 
@@ -181,11 +207,16 @@ def _scaled_tent(K: int, s: float, entropy: float) -> DensityModel:
             out[inside] = np.prod(_tent1_pdf(u), axis=1) * scale
         return out
 
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+        u = _tent1_ppf(rng.random((n, K)))
+        u *= s
+        return u
+
     return DensityModel(
         K=K,
         support=np.array([[0.0, s]] * K),
         pdf=pdf,
-        sampler=lambda rng, n: s * _tent1_ppf(rng.random((n, K))),
+        sampler=sampler,
         lipschitz_L=lipschitz,
         analytic_entropy=entropy,
         cdf=(lambda t: _tent1_cdf(np.asarray(t, dtype=np.float64) / s)) if K == 1 else None,

@@ -95,6 +95,28 @@ def test_config_key_the_command_does_not_accept(tmp_path, capsys):
     assert err == "error: invalid: unrecognized arguments: --tol 1.0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "1000",
+     "--delta", "0.1", "--trials", "2", "--seed", "-1"],
+    ["mi-estimate", "--density", "tent", "--l", "8", "--n", "1000", "--delta", "0.1",
+     "--seed", "-1"],
+    ["prop1-demo", "--n", "100", "--trials", "2", "--seed", "-1"],
+    ["estimate", "--input", "{data}", "--format", "f64le", "--k", "1", "--l", "4",
+     "--delta", "0.1", "--seed", "-1"],
+    ["estimate", "--config", "{cfg}"],
+], ids=["coverage", "mi-estimate", "prop1-demo", "estimate-input", "config-file"])
+def test_negative_seed_rejected_before_work(argv, tmp_path, capsys):
+    data = tmp_path / "u.f64"
+    data.write_bytes(np.full(100, 0.5).tobytes())
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("density = tent\nk = 1\nl = 4\nn = 1000\ndelta = 0.1\nseed = -1\n")
+    out = tmp_path / "r.csv"
+    argv = [arg.format(data=data, cfg=cfg) for arg in argv] + ["--out", str(out)]
+    code, stdout, err = run_cli(argv, capsys)
+    assert (code, stdout, err) == (2, "", "error: invalid: seed must be >= 0, got -1\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "u.f64"]
+
+
 @pytest.mark.parametrize(
     "command, extra", [("estimate", []), ("coverage", ["--trials", "2"])]
 )

@@ -1,8 +1,11 @@
 """Density models: exact entropies, Lipschitz constants, samplers, adversaries."""
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
 from entrobound import (
@@ -25,10 +28,22 @@ from entrobound import (
     trapezoid_entropy,
     uniform_density,
 )
-from entrobound.densities import DiscreteMiAdversary
+from entrobound.densities import DiscreteMiAdversary, _tent1_ppf
 from entrobound.rng import generator, split
 
 TENT_H1 = 0.5 - math.log(2.0)  # -0.19314718055994531
+
+
+# SHA-256 of sample(model, 10_000, 20261019).tobytes(), recorded before the
+# tent samplers drew in place.
+SAMPLE_DIGESTS = {
+    "tent-1": "9f111e2e61eab68c14288e75a6a4a0ca8ebb70561161390d72738c9783f44c68",
+    "tent-2": "3ef6009a662fc466a91cc8feab926593f8cdaefc3dcca15a91b9887e4d4bb825",
+    "tent-3": "4e67359301cdffdecf7011ac26a5305783acda9d5d47174930b58d6959a50677",
+    "low-entropy-alt-2": "528602fdaf4345ae7c56319fb0b0727c27a703411e65279cf4c07bdfb12ee023",
+    "prop1-mixture-2": "ea9a3783f9c5fd4b4ee78c2c921c901025369e221130b97e156d190bfdd50ec9",
+    "uniform-2": "7fca734349a806949f263ae728fddf0fb6deb063296bbf4d42eba95d40935293",
+}
 
 
 def _models_with_pdfs():
@@ -120,6 +135,43 @@ class TestSampling:
     def test_split_streams_differ(self):
         assert split(3, 0) != split(3, 1)
         assert split(3, 0) == split(3, 0)
+
+    @pytest.mark.parametrize("name", SAMPLE_DIGESTS)
+    def test_sample_bits_pinned(self, name):
+        """SHA-256 of the sample bytes; a 1-ulp change inside a bin shows here."""
+        tent2, alt2 = tent_density(2), low_entropy_alt(2, -3.0)
+        models = {
+            "tent-1": tent_density(1),
+            "tent-2": tent2,
+            "tent-3": tent_density(3),
+            "low-entropy-alt-2": alt2,
+            "prop1-mixture-2": prop1_mixture(ContaminationSpec(
+                tent2, alt2, 0.3, a=abs(-3.0 - tent2.analytic_entropy))),
+            "uniform-2": uniform_density(2),
+        }
+        draws = sample(models[name], 10_000, 20261019)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
+
+    def test_tent_ppf_matches_reference(self):
+        """The in-place kernel against the two-branch formula, bit for bit."""
+        def reference(u):
+            return np.where(u <= 0.5, np.sqrt(u / 2.0), 1.0 - np.sqrt((1.0 - u) / 2.0))
+
+        half, one = np.array([0.5, 1.0]).view(np.int64)
+        edges = np.concatenate([
+            np.arange(0, 3001),                     # 0 and the smallest subnormals
+            np.arange(half - 3000, half + 3001),    # both sides of 1/2
+            np.arange(one - 3000, one + 1),         # up to and including 1.0
+            generator(7).integers(1, 2**52, size=10**5),  # subnormals
+            np.arange(2**52 - 3000, 2**52 + 3001),  # largest subnormals, smallest normals
+        ]).astype(np.int64).view(np.float64)
+        rng = generator(20261019)
+        for block in range(11):
+            u = edges if block == 0 else rng.random(10**6)
+            expected = reference(u)
+            got = _tent1_ppf(u)
+            assert got is u
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestLowEntropyAlt:
@@ -342,6 +394,22 @@ class TestAffineRescale:
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError):
             affine_rescale([[0.0]], [[0.0, 0.0]])
+
+    @given(case=st.integers(1, 3).flatmap(lambda K: st.tuples(
+        st.just(K),
+        # s = 2 exp(h/K - 1/2) runs from 1e-6 up to 1 (the plain tent).
+        st.floats(K * (math.log(5e-7) + 0.5), K * (0.5 - math.log(2.0))),
+    )), seed=st.integers(0, 2**32 - 1))
+    def test_low_entropy_alt_bookkeeping(self, case, seed):
+        """Rescaling a compressed tent by its box recovers the plain tent's L and h."""
+        K, h = case
+        model = low_entropy_alt(K, h)
+        res = affine_rescale(sample(model, 200, seed), model.support)
+        assert model.lipschitz_L * res.lipschitz_scale == pytest.approx(
+            2.0 ** (K + 1), rel=1e-12)
+        assert model.analytic_entropy - res.entropy_offset == pytest.approx(
+            K * (0.5 - math.log(2.0)), rel=1e-12)
+        assert np.all((res.samples >= 0.0) & (res.samples <= 1.0))
 
     def test_rescale_then_estimate_matches_direct(self):
         """Stretched-tent estimate plus offset agrees with the direct one."""
