@@ -7,7 +7,7 @@ carries timing, so repeated runs with the same config and seed are
 byte-identical.  Both files are renamed into place together, so a failed write
 changes neither.  Exit status is 0 on success, 2 when the requested
 parameters violate a precondition (e.g. a bin count below the validity
-threshold), and 1 on I/O or data-format problems.  Errors print one
+threshold), and 1 on I/O, data-format or out-of-memory errors.  Errors print one
 machine-parsable line to standard error: ``error: <kind>: <detail>``.  Usage
 errors (an unknown command or option, a missing command, a value of the wrong
 type) are exit 2 with one ``error: invalid:`` line.
@@ -38,14 +38,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import BoundParams, as_int, optimize_M, total_bound
+from .bounds import as_int, optimize_M
 from .densities import sample, tent_density, uniform_density
 from .errors import EntroboundError, IngestError, OutOfSupportError, ValidityError
 from .estimators import (
     ExternalEstimator,
-    _check_optimal_bins,
     _default_threads,
     _map_ordered,
+    _plan,
     estimate_entropy_certified,
     estimate_mi_certified,
     kl_demo,
@@ -289,7 +289,7 @@ def _entropy_samples(config: argparse.Namespace) -> np.ndarray:
 
 def _cmd_bound(config: argparse.Namespace):
     _require(config, "l", "m", "n", "delta")
-    bound = total_bound(BoundParams(config.k, config.l, config.m, config.n, config.delta))
+    _, bound = _plan(config.k, config.l, config.n, config.delta, config.m)
     row = {"k": config.k, "l": config.l, "m": config.m, "n": config.n, "delta": config.delta,
            **asdict(bound)}
     line = " ".join(f"{key}={_fmt(row[key])}" for key in ("total", "quant_bias", "stat_dev", "emp_bias"))
@@ -348,17 +348,12 @@ def _cmd_coverage(config: argparse.Namespace):
     if model.analytic_entropy is None:
         raise ValueError("coverage requires a density with known entropy")
     truth = model.analytic_entropy
-    if config.m is not None:
-        M = config.m
-        bound = total_bound(BoundParams(config.k, config.l, M, config.n, config.delta))
-    else:
-        M, bound = optimize_M(config.k, config.l, config.n, config.delta)
-        _check_optimal_bins(M, config.k, config.l, config.n)
+    params, bound = _plan(config.k, config.l, config.n, config.delta, config.m)
 
     def one_trial(t: int) -> dict:
         seed_t = split(config.seed, t)
         pts = sample(model, config.n, seed_t)
-        report = estimate_entropy_certified(pts, config.l, config.delta, M=M, seed=seed_t)
+        report = estimate_entropy_certified(pts, config.l, config.delta, M=params.M, seed=seed_t)
         abs_err = abs(report.estimate - truth)
         return {
             "row": "trial",
@@ -376,7 +371,7 @@ def _cmd_coverage(config: argparse.Namespace):
     coverage = sum(r["covered"] for r in rows) / config.trials
     cols = list(rows[0]) + ["coverage"]
     rows.append({"row": "summary", "coverage": coverage})
-    line = f"coverage={_fmt(coverage)} trials={config.trials} M={M} bound_total={_fmt(bound.total)}"
+    line = f"coverage={_fmt(coverage)} trials={config.trials} M={params.M} bound_total={_fmt(bound.total)}"
     return cols, rows, line
 
 
@@ -667,6 +662,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except EntroboundError as exc:
         print(f"error: failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: failed: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -574,8 +574,11 @@ def affine_rescale(samples, box) -> RescaleResult:
     if np.any(pts < box[:, 0]) or np.any(pts > box[:, 1]):
         raise OutOfSupportError("sample outside the rescale box")
     rescaled = (pts - box[:, 0]) / sides
+    entropy_offset = 0.0
+    for side in sides.tolist():  # libm's log, left to right: the same bits on any CPU
+        entropy_offset += math.log(side)
     return RescaleResult(
         samples=rescaled,
         lipschitz_scale=float(np.max(sides) * np.prod(sides)),
-        entropy_offset=float(np.sum(np.log(sides))),
+        entropy_offset=entropy_offset,
     )

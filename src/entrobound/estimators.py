@@ -7,6 +7,8 @@ least 1 - delta.  ``estimate_mi_certified`` applies the same machinery to the
 decomposition I(x; y) = h(x) + h(y) - h(x, y), splitting the failure budget
 delta/3 per term.  It takes one sample matrix whose first k1 columns are x
 and whose other columns are y, so x, y and the joint are all views of it.
+Every entropy estimate, the CLI's ``bound`` and ``coverage`` and the pinned
+demo victim take their bin count M and their certificate from ``_plan``.
 
 The three terms are independent, so on more than 2^16 rows they run on the
 worker pool ``_map_ordered``, which also runs the CLI's ``coverage`` trials;
@@ -158,13 +160,21 @@ class DemoReport:
     below_threshold_fraction: float
 
 
-def _check_optimal_bins(M: int, K: int, L: float, N: int) -> None:
-    """Refuse a bound-optimal M above 2^53, which float64 binning cannot resolve."""
-    if M > _MAX_BINS:
-        raise ValueError(
-            f"L = {L!r} is too large for float64 binning with K = {K} and N = {N}: "
-            f"the bound-optimal M exceeds 2^53 = {_MAX_BINS}"
-        )
+def _plan(K: int, L: float, N: int, delta: float, M: int | None = None):
+    """(BoundParams, ConfidenceBound) of one entropy estimate.
+
+    M defaults to the bound-optimal count, refused above 2^53, which float64
+    binning cannot resolve.  A given M below the validity threshold raises
+    ``ValidityError``; one above 2^53 is left for binning to refuse.
+    """
+    if M is None:
+        M, bound = optimize_M(K, L, N, delta)
+        if M > _MAX_BINS:
+            raise ValueError(f"L = {L!r} is too large for float64 binning with K = {K} and "
+                             f"N = {N}: the bound-optimal M exceeds 2^53 = {_MAX_BINS}")
+        return BoundParams(K, L, M, N, delta), bound
+    params = BoundParams(K, L, M, N, delta)
+    return params, total_bound(params)
 
 
 def estimate_entropy_certified(
@@ -178,15 +188,8 @@ def estimate_entropy_certified(
     L-Lipschitz density p on [0,1]^K.
     """
     pts = _as_points(samples)
-    N, K = int(pts.shape[0]), int(pts.shape[1])
-    if M is None:
-        M, bound = optimize_M(K, L, N, delta)
-        _check_optimal_bins(M, K, L, N)
-        params = BoundParams(K, L, M, N, delta)
-    else:
-        params = BoundParams(K, L, M, N, delta)
-        bound = total_bound(params)
-    estimate = estimate_differential_entropy(pts, M)
+    params, bound = _plan(int(pts.shape[1]), L, int(pts.shape[0]), delta, M)
+    estimate = estimate_differential_entropy(pts, params.M)
     return EstimateReport(estimate=estimate, bound=bound, params=params, seed=seed, kind="entropy")
 
 
@@ -258,10 +261,11 @@ class PinnedEntropyEstimator:
             box = [[-1.0, 1.0]] * K
         self.box = np.asarray(box, dtype=np.float64)
         self.K = K
-        sides = self.box[:, 1] - self.box[:, 0]
-        self.L_effective = float(L * np.max(sides) * np.prod(sides))
-        self.entropy_offset = float(np.sum(np.log(sides)))
-        self.M, self.bound = optimize_M(K, self.L_effective, N, delta)
+        frame = affine_rescale(np.empty((0, K)), self.box)
+        self.L_effective = L * frame.lipschitz_scale
+        self.entropy_offset = frame.entropy_offset
+        params, self.bound = _plan(K, self.L_effective, N, delta)
+        self.M = params.M
         self.N = N
 
     def __call__(self, samples) -> float:
@@ -468,7 +472,8 @@ class _PinnedMiEstimator:
     x in [0,1] and y in [-2,1] rescaled to [0,1].
 
     Each call re-optimizes its three bin counts for the rows it gets, so it
-    is not frozen for a fixed N the way PinnedEntropyEstimator is.
+    is not frozen for a fixed N the way PinnedEntropyEstimator is.  It plans
+    per call until ROADMAP item 9: the bench's demos trace times that call.
     """
 
     assumed_L = 1.0

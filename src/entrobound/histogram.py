@@ -318,11 +318,18 @@ def _count_entropy(counts: np.ndarray, n: int) -> float:
     """Shannon entropy, in nats, of positive counts summing to n.
 
     Computed as log(n) - sum(c * log(c)) / n, which avoids forming tiny
-    ratios; a single count gives exactly 0.
+    ratios; a single count gives exactly 0.  Each log(c) is libm's
+    ``math.log``, looked up once per distinct count: numpy's vector log
+    can differ from it by an ulp depending on the CPU features it
+    dispatches to, and the result must not.
     """
     if counts.size == 1:
         return 0.0
-    return float(math.log(n) - np.sum(counts * np.log(counts)) / n)
+    idx = counts.astype(np.int64, copy=False)
+    distinct = np.flatnonzero(np.bincount(idx))
+    lut = np.empty(distinct[-1] + 1)
+    lut[distinct] = [math.log(c) for c in distinct.tolist()]
+    return float(math.log(n) - np.sum(counts * lut[idx]) / n)
 
 
 def plugin_entropy(hist: SparseHistogram) -> float:

@@ -167,6 +167,26 @@ def test_optimize_m_prints_bin_count_above_2_53(capsys):
     assert int(out.split()[0].removeprefix("M=")) > 2**53
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "1"],
+    ["coverage", "--k", "1", "--trials", "4", "--threads", "2"],
+], ids=["estimate", "coverage-on-pool"])
+def test_out_of_memory_is_one_line(argv, tmp_path, monkeypatch, capsys):
+    message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000, 1)"
+
+    def sample(model, n, seed):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "sample", sample)
+    out = tmp_path / "r.csv"
+    code, stdout, err = run_cli(
+        argv + ["--density", "tent", "--l", "4", "--n", "10000000000000", "--delta", "0.1",
+                "--out", str(out)], capsys
+    )
+    assert (code, stdout, err) == (1, "", f"error: failed: out of memory: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestEstimateCommand:
     def test_csv_columns_and_meta(self, tmp_path, capsys):
         out = tmp_path / "r.csv"

@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from entrobound import (
     OutOfSupportError,
     PinnedEntropyEstimator,
     ValidityError,
+    affine_rescale,
     estimate_entropy_certified,
     estimate_mi_certified,
     kl_demo,
@@ -279,6 +281,26 @@ class TestPinnedEntropyEstimator:
         victim = PinnedEntropyEstimator(1, 4.0, 0.1, N=4)
         value = victim(np.array([[-0.5], [-0.25], [0.25], [0.5]]))
         assert math.isfinite(value)
+
+    @pytest.mark.parametrize("box", [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]])
+    def test_nonpositive_box_side_refused(self, box):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="box sides must be positive"):
+                PinnedEntropyEstimator(len(box), 4.0, 0.1, N=100, box=box)
+
+    def test_optimal_bin_count_above_2_53_refused_when_built(self):
+        """The L that binning sees is the rescaled one: 4 * L on [-1, 1]."""
+        with pytest.raises(ValueError, match=r"^L = 4e\+300 is too large for float64 binning"):
+            PinnedEntropyEstimator(1, 1e300, 0.1, N=100)
+
+    def test_takes_the_rescale_bookkeeping(self):
+        box = [[0.0, 0.5], [-1.0, 2.0], [3.0, 10.0]]
+        victim = PinnedEntropyEstimator(3, 2.0, 0.1, N=1000, box=box)
+        frame = affine_rescale(np.empty((0, 3)), box)
+        assert victim.L_effective == 2.0 * frame.lipschitz_scale
+        assert victim.entropy_offset == frame.entropy_offset
+        assert victim.entropy_offset == math.log(0.5) + math.log(3.0) + math.log(7.0)
 
 
 class TestDiscreteMiPlugin:

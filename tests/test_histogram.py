@@ -609,6 +609,14 @@ class TestPluginEntropy:
         pmf = np.array(list(hist.counts.values())) / hist.N
         assert plugin_entropy(hist) == pytest.approx(exact_discrete_entropy(pmf), abs=1e-12)
 
+    def test_count_logs_from_libm(self):
+        """9170 is the smallest count whose log numpy's AVX-512 kernel rounds
+        off libm's by an ulp; the entropy takes libm's on every CPU."""
+        assert _count_entropy(np.array([9170, 830]), 10000).hex() == "0x1.24e69c1a2ce00p-2"
+        counts = np.array([9170, 830, 9170, 1, 2])
+        reference = math.log(19173) - math.fsum(c * math.log(c) for c in counts) / 19173
+        assert _count_entropy(counts, 19173) == pytest.approx(reference, rel=1e-15)
+
 
 class TestEstimateDifferentialEntropy:
     def test_single_sample(self):
