@@ -32,6 +32,7 @@ import shlex
 import stat
 import sys
 import time
+from array import array
 from dataclasses import asdict
 from pathlib import Path
 
@@ -140,7 +141,7 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
     if k is not None:
         k = as_int("k", k)
     if format == "csv":
-        rows = []
+        flat = array("d")  # every row's doubles, one buffer: no per-row list is kept
         width = k
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
@@ -165,10 +166,10 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
                     )
                 if not all(math.isfinite(v) for v in values):
                     raise IngestError(f"{path}: line {lineno}: non-finite value")
-                rows.append(values)
-        if not rows:
+                flat.extend(values)
+        if not flat:
             raise IngestError(f"{path}: no data rows")
-        return np.asarray(rows, dtype=np.float64)
+        return np.frombuffer(flat, dtype=np.float64).reshape(-1, width)
     if format == "f64le":
         if k is None:
             raise ValueError("f64le ingestion requires the point dimension k")

@@ -10,9 +10,11 @@ with one discrete coordinate, and a pair of step densities with arbitrarily
 large relative entropy.
 
 Models are immutable; samplers take an explicit seed (no global RNG state),
-so parallel trials with split seeds are reproducible.  The tent samplers
-draw in place: they turn the fresh array of uniform draws into the sample
-itself, with no second (N, K) array.
+so parallel trials with split seeds are reproducible.  One builder,
+``_iid_cube``, makes every law of K i.i.d. coordinates on a cube [0, s]^K:
+the tent, the uniform and the compressed tent.  Its samplers draw in place:
+they turn the fresh array of uniform draws into the sample itself, with no
+second (N, K) array.
 """
 from __future__ import annotations
 
@@ -121,6 +123,47 @@ def _tent1_ppf(u: np.ndarray) -> np.ndarray:
     return u
 
 
+def _iid_cube(
+    K: int, side: float, pdf1, ppf1, cdf1, lipschitz_L: float | None, entropy: float, name: str
+) -> DensityModel:
+    """K i.i.d. coordinates side * T on [0, side]^K, T a law on [0, 1].
+
+    ``pdf1`` is T's density, zero outside [0, 1], ``ppf1`` its inverse CDF
+    written in place over the uniform draws, ``cdf1`` its CDF (used at
+    K = 1).  At side 1 the pdf and the sampler divide, scale and copy
+    nothing: they run exactly the 1-D kernels' numpy calls.
+    """
+    unit = side == 1.0
+    scale = side ** (-float(K))
+
+    def pdf(x):
+        pts = _points(x, K)
+        if unit:
+            return np.prod(pdf1(pts), axis=1)
+        return np.prod(pdf1(pts / side), axis=1) * scale
+
+    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
+        u = ppf1(rng.random((n, K)))
+        if not unit:
+            u *= side
+        return u
+
+    def cdf(t):
+        t = np.asarray(t, dtype=np.float64)
+        return cdf1(t if unit else t / side)
+
+    return DensityModel(
+        K=K,
+        support=np.array([[0.0, side]] * K),
+        pdf=pdf,
+        sampler=sampler,
+        lipschitz_L=lipschitz_L,
+        analytic_entropy=entropy,
+        cdf=cdf if K == 1 else None,
+        name=name,
+    )
+
+
 def tent_density(K: int) -> DensityModel:
     """Product of one-dimensional tents on [0,1]^K.
 
@@ -130,44 +173,18 @@ def tent_density(K: int) -> DensityModel:
     in place over the uniform draws.
     """
     K = as_int("dimension K", K)
-
-    def pdf(x):
-        pts = _points(x, K)
-        return np.prod(_tent1_pdf(pts), axis=1)
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return _tent1_ppf(rng.random((n, K)))
-
-    return DensityModel(
-        K=K,
-        support=np.array([[0.0, 1.0]] * K),
-        pdf=pdf,
-        sampler=sampler,
-        lipschitz_L=float(2 ** (K + 1)),
-        analytic_entropy=K * (0.5 - math.log(2.0)),
-        cdf=(lambda t: _tent1_cdf(np.asarray(t, dtype=np.float64))) if K == 1 else None,
-        name="tent",
+    return _iid_cube(
+        K, 1.0, _tent1_pdf, _tent1_ppf, _tent1_cdf,
+        float(2 ** (K + 1)), K * (0.5 - math.log(2.0)), "tent",
     )
 
 
 def uniform_density(K: int) -> DensityModel:
     """Uniform (step) model on [0,1]^K with entropy exactly zero."""
     K = as_int("dimension K", K)
-
-    def pdf(x):
-        pts = _points(x, K)
-        inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
-        return np.where(inside, 1.0, 0.0)
-
-    return DensityModel(
-        K=K,
-        support=np.array([[0.0, 1.0]] * K),
-        pdf=pdf,
-        sampler=lambda rng, n: rng.random((n, K)),
-        lipschitz_L=None,
-        analytic_entropy=0.0,
-        cdf=(lambda t: np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)) if K == 1 else None,
-        name="uniform",
+    return _iid_cube(
+        K, 1.0, lambda t: np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0), lambda u: u,
+        lambda t: np.clip(t, 0.0, 1.0), None, 0.0, "uniform",
     )
 
 
@@ -194,33 +211,10 @@ def _scaled_tent(K: int, s: float, entropy: float) -> DensityModel:
             name="scaled-tent-degenerate",
         )
 
-    scale = s ** (-float(K))
     log_lipschitz = (K + 1) * (math.log(2.0) - math.log(s))
     lipschitz = math.exp(log_lipschitz) if log_lipschitz <= 700.0 else None
-
-    def pdf(x):
-        pts = _points(x, K)
-        out = np.zeros(pts.shape[0])
-        inside = np.all((pts >= 0.0) & (pts <= s), axis=1)
-        if inside.any():
-            u = pts[inside] / s
-            out[inside] = np.prod(_tent1_pdf(u), axis=1) * scale
-        return out
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = _tent1_ppf(rng.random((n, K)))
-        u *= s
-        return u
-
-    return DensityModel(
-        K=K,
-        support=np.array([[0.0, s]] * K),
-        pdf=pdf,
-        sampler=sampler,
-        lipschitz_L=lipschitz,
-        analytic_entropy=entropy,
-        cdf=(lambda t: _tent1_cdf(np.asarray(t, dtype=np.float64) / s)) if K == 1 else None,
-        name=f"tent-scaled-{s:g}",
+    return _iid_cube(
+        K, s, _tent1_pdf, _tent1_ppf, _tent1_cdf, lipschitz, entropy, f"tent-scaled-{s:g}"
     )
 
 

@@ -53,7 +53,7 @@ from .densities import (
     sample,
     tent_density,
 )
-from .errors import EntroboundError
+from .errors import EntroboundError, OutOfSupportError
 from .histogram import (
     _MAX_BINS,
     _as_points,
@@ -306,11 +306,20 @@ def two_cell_kl_plugin(p_samples, q_samples) -> float:
     """Plug-in relative entropy on the two cells [-1, 0) and [0, 1).
 
     Empirical masses replace the true ones in sum(p_i log(p_i / q_i)); a cell
-    with p-mass but no q-mass yields +inf.  This is the concrete victim of
-    the relative-entropy demonstration.
+    with p-mass but no q-mass yields +inf.  An empty sample raises
+    ``ValueError`` and a point outside [-1, 1), NaN included, raises
+    ``OutOfSupportError``: no draw is dropped.  This is the concrete victim
+    of the relative-entropy demonstration.
     """
     xp = _as_points(p_samples)[:, 0]
     xq = _as_points(q_samples)[:, 0]
+    for label, x in (("p", xp), ("q", xq)):
+        if x.size == 0:
+            raise ValueError(f"no {label} samples")
+        outside = ~((x >= -1.0) & (x < 1.0))
+        if outside.any():
+            bad = float(x[np.argmax(outside)])
+            raise OutOfSupportError(f"{label} sample {bad!r} outside the cells [-1, 1)")
     d = 0.0
     for cell in ((-1.0, 0.0), (0.0, 1.0)):
         p_hat = float(np.mean((xp >= cell[0]) & (xp < cell[1])))

@@ -4,7 +4,8 @@ Nothing in this module shares code with the estimator path.  Differential
 entropies come from a midpoint rule under dyadic refinement, discrete
 expectations from exhaustive multinomial enumeration, and the supporting
 inequalities behind the confidence bound are each exposed as a check that
-returns both sides so callers can assert them:
+callers can assert.  Each check returns both sides, except check_density_gap,
+which returns only the gap; its right side L*K/(2M) is left to the caller:
 
   * |p - q| <= L*K/(2M) between a Lipschitz density and its cell-averaged
     companion (check_density_gap),

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from entrobound import (
     BoundParams,
@@ -101,6 +103,70 @@ class TestQuantizationBias:
 
     def test_vanishes_for_large_M(self):
         assert quantization_bias(1, 4.0, 10**9) < 1e-7
+
+
+# Piecewise-linear densities on [0, 1] that vanish at both ends: Lipschitz,
+# with exact entropy, exact Lipschitz constant and exact companion cell masses.
+# Knots lie on a 1/256 grid, so no two are closer than that and L stays below
+# about 10^4.
+def _piecewise_linear(positions, heights):
+    x = np.concatenate([[0.0], np.asarray(positions) / 256.0, [1.0]])
+    f = np.concatenate([[0.0], np.asarray(heights, dtype=np.float64), [0.0]])
+    return x, f / np.sum(np.diff(x) * (f[:-1] + f[1:]) / 2.0)
+
+
+def _pl_entropy(x, f):
+    """-integral of f log f, in closed form on each linear piece."""
+    def g(v):  # v^2 log(v)/2 - v^2/4, an antiderivative of v log v; g(0) = 0
+        return v * v * (math.log(v) / 2.0 - 0.25) if v > 0.0 else 0.0
+
+    h = 0.0
+    for w, a, b in zip(np.diff(x), f[:-1], f[1:]):
+        h -= w * a * math.log(a) if a == b else w * (g(b) - g(a)) / (b - a)
+    return h
+
+
+def _pl_cell_masses(x, f, M):
+    """Mass of each cell [i/M, (i+1)/M): exact trapezoids between all breakpoints."""
+    pts = np.union1d(x, np.arange(M + 1) / M)
+    fp = np.interp(pts, x, f)
+    piece = np.diff(pts) * (fp[:-1] + fp[1:]) / 2.0
+    cell = np.minimum(np.floor((pts[:-1] + pts[1:]) / 2.0 * M).astype(np.int64), M - 1)
+    return np.bincount(cell, weights=piece, minlength=M)
+
+
+def _companion_entropy(masses, M):
+    m = masses[masses > 0.0]
+    return float(-np.sum(m * np.log(M * m)))
+
+
+class TestBiasLemmaOnPiecewiseLinear:
+    """|h(p) - h(q_M)| <= quantization_bias(1, L, M) beyond the tent family."""
+
+    def test_references_exact_on_the_tent(self):
+        x, f = _piecewise_linear([128], [3])
+        assert np.array_equal(f, [0.0, 2.0, 0.0])
+        assert _pl_entropy(x, f) == pytest.approx(0.5 - math.log(2.0), abs=1e-15)
+        masses = _pl_cell_masses(x, f, 3)
+        cdf = np.array([0.0, 2.0 / 9.0, 7.0 / 9.0, 1.0])  # 2t^2, 1 - 2(1-t)^2
+        assert masses == pytest.approx(np.diff(cdf), abs=1e-15)
+
+    @given(st.lists(st.integers(1, 255), min_size=1, max_size=11, unique=True).flatmap(
+        lambda pos: st.tuples(
+            st.just(sorted(pos)),
+            st.lists(st.integers(1, 16), min_size=len(pos), max_size=len(pos)),
+        )))
+    def test_companion_entropy_within_bias(self, case):
+        x, f = _piecewise_linear(*case)
+        L = float(np.max(np.abs(np.diff(f) / np.diff(x))))
+        h_p = _pl_entropy(x, f)
+        M0 = min_valid_M(1, L)
+        for M in (M0, 2 * M0, 8 * M0):
+            masses = _pl_cell_masses(x, f, M)
+            assert math.fsum(masses) == pytest.approx(1.0, abs=1e-12)
+            h_q = _companion_entropy(masses, M)
+            assert h_q >= h_p - 1e-12  # averaging over cells never lowers entropy
+            assert abs(h_p - h_q) <= quantization_bias(1, L, M)
 
 
 class TestStatisticalDeviation:

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +510,21 @@ class TestIngest:
         path.write_text("0.1,0.2\n0.3\n")
         with pytest.raises(IngestError, match="line 2"):
             ingest(path, "csv")
+
+    def test_csv_memory_is_the_array(self, tmp_path):
+        """Rows accumulate as doubles, so the traced peak stays near the result's size."""
+        path = tmp_path / "d.csv"
+        rows = np.random.default_rng(8).random((100_000, 2))
+        np.savetxt(path, rows, fmt="%.17g", delimiter=",")
+        tracemalloc.start()
+        try:
+            pts = ingest(path, "csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pts.tobytes() == rows.tobytes()
+        assert pts.flags.writeable and pts.flags.c_contiguous
+        assert peak <= 3 * pts.nbytes
 
     def test_f64le_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)

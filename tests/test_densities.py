@@ -212,6 +212,104 @@ class TestLowEntropyAlt:
             low_entropy_alt(1, -math.inf)
 
 
+# The pdfs and K = 1 CDFs as tent_density, uniform_density and the compressed
+# tent each wrote them before one builder made all three; references for
+# TestIidCube.
+def _ref_tent1_pdf(t):
+    inside = (t >= 0.0) & (t <= 1.0)
+    return np.where(inside, 4.0 * np.minimum(t, 1.0 - t), 0.0)
+
+
+def _ref_tent1_cdf(t):
+    t = np.clip(t, 0.0, 1.0)
+    return np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
+
+
+def _ref_tent_pdf(pts, s, K):
+    return np.prod(_ref_tent1_pdf(pts), axis=1)
+
+
+def _ref_uniform_pdf(pts, s, K):
+    inside = np.all((pts >= 0.0) & (pts <= 1.0), axis=1)
+    return np.where(inside, 1.0, 0.0)
+
+
+def _ref_scaled_tent_pdf(pts, s, K):
+    out = np.zeros(pts.shape[0])
+    inside = np.all((pts >= 0.0) & (pts <= s), axis=1)
+    if inside.any():
+        out[inside] = np.prod(_ref_tent1_pdf(pts[inside] / s), axis=1) * s ** (-float(K))
+    return out
+
+
+def _ref_cdf(kind, s):
+    if kind == "uniform":
+        return lambda t: np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+    return lambda t: _ref_tent1_cdf(np.asarray(t, dtype=np.float64) / s)
+
+
+def _ref_attributes(kind, K, h):
+    """(support side, lipschitz_L, analytic_entropy, name) as the parent set them."""
+    if kind == "tent":
+        return 1.0, float(2 ** (K + 1)), K * (0.5 - math.log(2.0)), "tent"
+    if kind == "uniform":
+        return 1.0, None, 0.0, "uniform"
+    s = min(2.0 * math.exp(min(0.0, h / K - 0.5)), 1.0)
+    L = math.exp((K + 1) * (math.log(2.0) - math.log(s)))
+    return s, L, float(h), f"tent-scaled-{s:g}"
+
+
+def _probe_points(K, s):
+    """Random points in and around [0, s]^K, and every K-tuple of edge values."""
+    edges = [0.0, -0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+             math.inf, -math.inf, math.nan, s, np.nextafter(s, 0.0),
+             np.nextafter(s, 2.0), 0.5 * s, -0.5 * s]
+    grid = np.array(np.meshgrid(*[edges] * K, indexing="ij")).reshape(K, -1).T
+    wide = (generator(K).random((5000, K)) * 2.0 - 0.5) * s
+    return np.vstack([grid, wide])
+
+
+_IID_CUBE_CASES = (
+    [("tent", K, None) for K in (1, 2, 3)]
+    + [("uniform", K, None) for K in (1, 2, 3)]
+    + [("scaled", K, h) for K in (1, 2, 3) for h in (-1.0, -4.0)]
+)
+
+
+class TestIidCube:
+    """The one product-on-a-cube builder against the parent's three models."""
+
+    @pytest.mark.parametrize("kind,K,h", _IID_CUBE_CASES)
+    def test_matches_parent_formulas(self, kind, K, h):
+        model = {"tent": lambda: tent_density(K), "uniform": lambda: uniform_density(K),
+                 "scaled": lambda: low_entropy_alt(K, h)}[kind]()
+        s, L, entropy, name = _ref_attributes(kind, K, h)
+        assert np.array_equal(model.support, np.array([[0.0, s]] * K))
+        assert model.lipschitz_L == L
+        assert model.analytic_entropy == entropy
+        assert model.name == name
+
+        pts = _probe_points(K, s)
+        reference = {"tent": _ref_tent_pdf, "uniform": _ref_uniform_pdf,
+                     "scaled": _ref_scaled_tent_pdf}[kind]
+        got, expected = model.pdf(pts), reference(pts, s, K)
+        if kind == "scaled":
+            # Equal under ==, not bit for bit: outside the box the parent
+            # wrote +0.0, while the builder's product can give -0.0 when a
+            # coordinate is -0.0 (the 1-D tent of -0.0 is -0.0).
+            assert np.array_equal(got, expected)
+        else:
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+        if K == 1:
+            t = pts[:, 0]
+            got_cdf, expected_cdf = model.cdf(t), _ref_cdf(kind, s)(t)
+            assert np.array_equal(got_cdf.view(np.int64), expected_cdf.view(np.int64))
+            assert np.array_equal(model.cdf(list(t[:5])), expected_cdf[:5], equal_nan=True)
+        else:
+            assert model.cdf is None
+
+
 class TestContaminationMixture:
     def test_entropy_formula_edge_cases(self):
         assert disjoint_mixture_entropy(TENT_H1, -5.0, 0.0) == pytest.approx(TENT_H1)

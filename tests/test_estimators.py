@@ -413,6 +413,22 @@ class TestTwoCellKlPlugin:
         xq = np.array([[-0.5], [-0.25]])
         assert two_cell_kl_plugin(xp, xq) == math.inf
 
+    @pytest.mark.parametrize("empty", ["p", "q"])
+    def test_empty_sample_refused(self, empty):
+        xs = np.array([[-0.5], [0.5]])
+        none = np.empty((0, 1))
+        args = (none, xs) if empty == "p" else (xs, none)
+        with pytest.raises(ValueError, match=f"no {empty} samples"):
+            two_cell_kl_plugin(*args)
+
+    @pytest.mark.parametrize("bad", [1.0, -1.5, math.nan])
+    def test_sample_outside_cells_refused(self, bad):
+        """A point that no cell holds is named, not dropped from both masses."""
+        with pytest.raises(OutOfSupportError, match=f"q sample {bad!r} outside"):
+            two_cell_kl_plugin([0.5], [bad])
+        with pytest.raises(OutOfSupportError, match=f"p sample {bad!r} outside"):
+            two_cell_kl_plugin([bad, 0.5], [0.5])
+
 
 class TestProp1Demo:
     def test_small_scale(self):
