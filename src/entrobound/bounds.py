@@ -74,11 +74,14 @@ def eta(K: int, L: float) -> float:
     """Scale factor (1/K) * (2 * (K+1)! / L)^(1/(K+1)).
 
     The factorial is evaluated exactly for K <= 20 and via ``lgamma`` above
-    that, so the result stays finite in high dimension.
+    that, or when 2 * (K+1)! / L overflows a float (a subnormal L), so the
+    result stays finite in high dimension and for tiny L.
     """
     K = _validate_K_L(K, L)
     if K <= _FACTORIAL_CUTOFF:
-        return (2.0 * math.factorial(K + 1) / L) ** (1.0 / (K + 1)) / K
+        ratio = 2.0 * math.factorial(K + 1) / L
+        if ratio < math.inf:
+            return ratio ** (1.0 / (K + 1)) / K
     log_val = (math.log(2.0) + math.lgamma(K + 2) - math.log(L)) / (K + 1)
     return math.exp(log_val) / K
 

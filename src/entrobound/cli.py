@@ -10,12 +10,14 @@ parameters violate a precondition (e.g. a bin count below the validity
 threshold), and 1 on I/O, data-format or out-of-memory errors.  Errors print one
 machine-parsable line to standard error: ``error: <kind>: <detail>``.  Usage
 errors (an unknown command or option, a missing command, a value of the wrong
-type) are exit 2 with one ``error: invalid:`` line.
+type or none) and numbers beyond float range are exit 2 with one
+``error: invalid:`` line.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
-(``--config FILE`` or ``--config=FILE``); explicit command-line flags
-override file values.  A file may also name the command (``command = bound``);
-the command line may then start with flags (``--config exp.cfg --n 2000``).
+(``--config FILE`` or ``--config=FILE``); each line is read as the flag
+``--key=value``, and explicit command-line flags override file values.  A
+file may also name the command (``command = bound``); the command line may
+then start with flags (``--config exp.cfg --n 2000``).
 The ``coverage`` trials run on a worker pool sized by ``--threads``, else
 ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
 ``mi-estimate`` on more than 2^16 rows runs its three entropy terms on a pool
@@ -108,6 +110,11 @@ def _config_text(config: argparse.Namespace, names) -> str:
 
 
 def parse_config_text(text: str) -> dict:
+    """The file's ``key = value`` pairs, each value the text as written.
+
+    Values stay strings: ``_merge_config_file`` hands them to argparse, which
+    types them exactly as it types the same option on the command line.
+    """
     out = {}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -119,8 +126,7 @@ def parse_config_text(text: str) -> dict:
         key = key.strip()
         if key != "command" and key not in _OPTIONS:
             raise ValueError(f"unknown config key {key!r}")
-        parse = str if key == "command" else _OPTIONS[key][0]
-        out[key] = parse(raw.strip())
+        out[key] = raw.strip()
     return out
 
 
@@ -584,6 +590,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValueError(message)
 
+    def parse_args(self, args=None, namespace=None):
+        config = super().parse_args(args, namespace)
+        # Python 3.10-3.12 store [] for --opt=-- without calling the option's type.
+        for name, (parse, _, _) in _OPTIONS.items():
+            value = getattr(config, name, None)
+            if value is not None and not isinstance(value, parse):
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return config
+
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of every command, with the options of ``command`` only.
@@ -634,12 +649,9 @@ def _merge_config_file(argv: list[str]) -> list[str]:
         raise ValueError(
             f"config file is for command {data['command']!r}, not {given!r}"
         )
-    flags: list[str] = []
-    for key, value in data.items():
-        if key == "command":
-            continue
-        flags.append(f"--{key.replace('_', '-')}")
-        flags.append(str(value))
+    # One --key=value token per key, so that a value starting with "-" stays a value.
+    flags = [f"--{key.replace('_', '-')}={value}"
+             for key, value in data.items() if key != "command"]
     return [command] + flags + rest
 
 
@@ -655,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValidityError as exc:
         print(f"error: validity: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OutOfSupportError) as exc:
+    except (ValueError, OverflowError, OutOfSupportError) as exc:
         print(f"error: invalid: {exc}", file=sys.stderr)
         return 2
     except (IngestError, OSError) as exc:

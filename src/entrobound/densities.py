@@ -175,7 +175,7 @@ def tent_density(K: int) -> DensityModel:
     K = as_int("dimension K", K)
     return _iid_cube(
         K, 1.0, _tent1_pdf, _tent1_ppf, _tent1_cdf,
-        float(2 ** (K + 1)), K * (0.5 - math.log(2.0)), "tent",
+        math.ldexp(1.0, K + 1), K * (0.5 - math.log(2.0)), "tent",
     )
 
 

@@ -306,13 +306,16 @@ def two_cell_kl_plugin(p_samples, q_samples) -> float:
     """Plug-in relative entropy on the two cells [-1, 0) and [0, 1).
 
     Empirical masses replace the true ones in sum(p_i log(p_i / q_i)); a cell
-    with p-mass but no q-mass yields +inf.  An empty sample raises
-    ``ValueError`` and a point outside [-1, 1), NaN included, raises
-    ``OutOfSupportError``: no draw is dropped.  This is the concrete victim
-    of the relative-entropy demonstration.
+    with p-mass but no q-mass yields +inf.  An empty sample or one with more
+    than one column raises ``ValueError`` and a point outside [-1, 1), NaN
+    included, raises ``OutOfSupportError``: no draw is dropped.  This is the
+    concrete victim of the relative-entropy demonstration.
     """
-    xp = _as_points(p_samples)[:, 0]
-    xq = _as_points(q_samples)[:, 0]
+    xp, xq = _as_points(p_samples), _as_points(q_samples)
+    for label, points in (("p", xp), ("q", xq)):
+        if points.shape[1] != 1:
+            raise ValueError(f"{label} samples must have one column, got {points.shape[1]}")
+    xp, xq = xp[:, 0], xq[:, 0]
     for label, x in (("p", xp), ("q", xq)):
         if x.size == 0:
             raise ValueError(f"no {label} samples")

@@ -22,17 +22,16 @@ counts the keys with a dense ``bincount`` only when the grid is small
 gives each row the rank of its bin among the occupied ones, for
 ``estimators.discrete_mi_plugin``.  Only these three read the key layout.
 
-A histogram stores only its occupied keys (at most N) and their counts, as
-two arrays in row-major bin order; the plug-in estimate reads only the
-counts, and the bin indices are decoded from the keys on request.
+A histogram is two arrays in row-major bin order: ``keys``, its occupied
+bins (at most N), and ``counts``, their counts.  The plug-in estimate reads
+only ``counts``, and the bin indices are decoded from the keys on request.
 Histograms are immutable once built and safe to share across threads;
 parallelism lives a level up, on whole estimates (see ``estimators``).
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,16 +39,12 @@ from .bounds import as_int
 from .errors import OutOfSupportError
 
 __all__ = [
-    "BinIndex",
     "SparseHistogram",
     "quantize_index",
     "build_histogram",
     "plugin_entropy",
     "estimate_differential_entropy",
 ]
-
-# A bin index is a K-tuple of integers, each in [0, M-1].
-BinIndex = tuple[int, ...]
 
 # Rows quantized per block: keeps the (K, B) temporaries in cache.  2^14
 # rows were as fast on one thread, but slower with two threads binning at
@@ -62,63 +57,27 @@ _BLOCK_ROWS = 1 << 15
 # _bin_indices flags every coordinate as near an edge.
 _MAX_BINS = 2**53
 
-class _CountsView(Mapping):
-    """Read-only bin-index -> count mapping over a histogram's arrays.
-
-    Its length is the number of occupied bins; the dict behind it is built
-    from the decoded bin indices on the first lookup or iteration.
-    """
-
-    def __init__(self, keys: np.ndarray, tally: np.ndarray, M: int, K: int) -> None:
-        self._keys = keys
-        self._tally = tally
-        self._M = M
-        self._K = K
-        self._dict: dict[BinIndex, int] | None = None
-
-    def _as_dict(self) -> dict[BinIndex, int]:
-        if self._dict is None:
-            bins = _index_rows(self._keys, self._M, self._K)
-            self._dict = dict(zip(map(tuple, bins.tolist()), self._tally.tolist()))
-        return self._dict
-
-    def __len__(self) -> int:
-        return len(self._tally)
-
-    def __getitem__(self, key) -> int:
-        return self._as_dict()[key]
-
-    def __iter__(self):
-        return iter(self._as_dict())
-
-    def __repr__(self) -> str:
-        return repr(self._as_dict())
-
-
 @dataclass(frozen=True, eq=False)
 class SparseHistogram:
     """Occupied bins of the M^K grid and their counts, over N samples.
 
     ``keys`` holds the occupied bins in row-major order: the (n_occ,) int64
     row-major flat keys, or, when M^K >= 2^62 would overflow them, the
-    (n_occ, K) int64 bin index rows.  ``tally`` is the (n_occ,) int64 array
-    of their counts; both are read-only, and the plug-in estimate reads only
-    ``tally``.  ``bins`` decodes ``keys`` into the (n_occ, K) index rows on
-    each access, and ``counts`` presents the same data as a read-only
-    bin-index -> count mapping.
+    (n_occ, K) int64 bin index rows.  ``counts`` is the (n_occ,) int64 array
+    of their counts, so ``counts[i]`` is the count of ``bins[i]``; both
+    arrays are read-only, and the plug-in estimate reads only ``counts``.
+    ``bins`` decodes ``keys`` into the (n_occ, K) index rows on each access.
     """
 
     K: int
     M: int
     N: int
     keys: np.ndarray
-    tally: np.ndarray
-    counts: Mapping[BinIndex, int] = field(init=False, repr=False)
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
         self.keys.flags.writeable = False
-        self.tally.flags.writeable = False
-        object.__setattr__(self, "counts", _CountsView(self.keys, self.tally, self.M, self.K))
+        self.counts.flags.writeable = False
 
     @property
     def bins(self) -> np.ndarray:
@@ -131,7 +90,7 @@ class SparseHistogram:
         return (
             (self.K, self.M, self.N) == (other.K, other.M, other.N)
             and np.array_equal(self.keys, other.keys)
-            and np.array_equal(self.tally, other.tally)
+            and np.array_equal(self.counts, other.counts)
         )
 
 
@@ -167,7 +126,7 @@ def _check_unit_cube(arr: np.ndarray, first: int = 0) -> None:
         )
 
 
-def quantize_index(x, M: int) -> BinIndex:
+def quantize_index(x, M: int) -> tuple[int, ...]:
     """Bin index of a single point: coordinate k maps to min(floor(M*x_k), M-1).
 
     Exactly: x_k goes to the largest i in [0, M-1] whose edge, the correctly
@@ -310,8 +269,8 @@ def build_histogram(samples, M: int) -> SparseHistogram:
     n, k = points.shape
     if n == 0:
         raise ValueError("cannot build a histogram from zero samples")
-    keys, tally = _tally(_bin_keys(points, M), M, k)
-    return SparseHistogram(K=k, M=M, N=n, keys=keys, tally=tally)
+    keys, counts = _tally(_bin_keys(points, M), M, k)
+    return SparseHistogram(K=k, M=M, N=n, keys=keys, counts=counts)
 
 
 def _count_entropy(counts: np.ndarray, n: int) -> float:
@@ -338,9 +297,9 @@ def plugin_entropy(hist: SparseHistogram) -> float:
     Result lies in [0, log(min(N, M^K))], and is exactly 0 for a single
     occupied bin.
     """
-    if hist.N < 1 or hist.tally.size == 0:
+    if hist.N < 1 or hist.counts.size == 0:
         raise ValueError("empty histogram")
-    return _count_entropy(hist.tally, hist.N)
+    return _count_entropy(hist.counts, hist.N)
 
 
 def estimate_differential_entropy(samples, M: int) -> float:

@@ -67,6 +67,15 @@ class TestEta:
         value = eta(500, 2.0)
         assert math.isfinite(value) and value > 0.0
 
+    @pytest.mark.parametrize("L", [5e-324, 1e-308])
+    def test_ratio_overflow_takes_the_log_form(self, L):
+        """When 2 * (K+1)! / L overflows, eta and the bias it feeds stay finite."""
+        for K in (1, 2, 20):
+            log_form = math.exp((math.log(2.0) + math.lgamma(K + 2) - math.log(L)) / (K + 1)) / K
+            assert eta(K, L) == log_form
+            assert math.isfinite(quantization_bias(K, L, 100))
+        assert eta(1, 5e-324) == pytest.approx(2.0 / math.sqrt(5e-324), rel=1e-12)
+
     def test_pure(self):
         assert eta(3, 2.5) == eta(3, 2.5)
 

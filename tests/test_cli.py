@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entrobound import cli, oracle
 from entrobound.densities import tent_density
@@ -93,7 +95,7 @@ def test_config_key_the_command_does_not_accept(tmp_path, capsys):
     cfg.write_text("tol = 1\n")
     code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 2
-    assert err == "error: invalid: unrecognized arguments: --tol 1.0\n"
+    assert err == "error: invalid: unrecognized arguments: --tol=1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -186,6 +188,120 @@ def test_out_of_memory_is_one_line(argv, tmp_path, monkeypatch, capsys):
     )
     assert (code, stdout, err) == (1, "", f"error: failed: out of memory: {message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+_BOUND = ["--k", "1", "--l", "4", "--m", "100", "--n", "1000", "--delta", "0.1"]
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["optimize-m", "--k", "1", "--l=--", "--n", "1000", "--delta", "0.1"], "l"),
+    (["bound", *_BOUND, "--out=--"], "out"),
+], ids=["number", "string"])
+def test_double_dash_value_rejected(argv, option, tmp_path, monkeypatch, capsys):
+    """--opt=-- is no value, though Python 3.10-3.12's argparse stores []."""
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid: argument --{option}: expected one argument\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+_HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "1", "--l", "4", "--m", _HUGE, "--n", "1000", "--delta", "0.1"],
+    ["bound", "--k", "1", "--l", "4", "--m", "100", "--n", _HUGE, "--delta", "0.1"],
+    ["optimize-m", "--k", "1", "--l", "4", "--n", _HUGE, "--delta", "0.1"],
+    ["estimate", "--density", "tent", "--k", "1100", "--l", "4", "--n", "1000",
+     "--delta", "0.1"],
+    ["estimate", "--density", "tent", "--k", _HUGE, "--l", "4", "--n", "1000",
+     "--delta", "0.1"],
+], ids=["bound-m", "bound-n", "optimize-m-n", "tent-k-1100", "tent-k-huge"])
+def test_number_beyond_float_range_invalid(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid: ") and len(err.splitlines()) == 1
+
+
+def test_subnormal_l_gives_finite_bound(capsys):
+    """2 * (K+1)! / L overflows at L = 5e-324; eta takes its log form instead."""
+    code, out, err = run_cli(
+        ["bound", "--k", "1", "--l", "5e-324", "--m", "100", "--n", "1000", "--delta", "0.1"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.startswith("total=0.62909237261884221 quant_bias=0 ")
+
+
+def test_tiny_l_gives_finite_bias(capsys):
+    code, out, err = run_cli(
+        ["bound", "--k", "1", "--l", "1e-308", "--m", "100", "--n", "1000", "--delta", "0.1"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    terms = dict(item.split("=") for item in out.split())
+    assert all(math.isfinite(float(value)) for value in terms.values())
+
+
+def test_subnormal_l_estimate(capsys):
+    code, out, err = run_cli(
+        ["estimate", "--density", "tent", "--k", "1", "--l", "5e-324", "--n", "1000",
+         "--delta", "0.1"],
+        capsys,
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith(" M=1\n")
+
+
+# Option values for the fuzz: well-formed numbers, ints of 300-400 digits,
+# strings argparse may take for flags, non-finite and subnormal floats, a
+# digit separator and a path that starts with a dash.
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from(["1", "2", "4", "100", "1000", "0.1", "0.5", "1e3", "-1", "0"]),
+    st.integers(10**299, 10**400).map(str),
+    st.sampled_from(["--", "-x", "", "nan", "inf", "-inf", "5e-324", "1e-308", "1_0",
+                     "-r.csv"]),
+)
+# Each command's options, at values that run; the fuzz replaces some of them.
+_FUZZ_BASE = {
+    "bound": {"k": "1", "l": "4", "m": "100", "n": "1000", "delta": "0.1", "out": None,
+              "seed": None},
+    "optimize-m": {"k": "1", "l": "4", "n": "1000", "delta": "0.1", "out": None, "seed": None},
+}
+
+
+def test_main_contract_fuzz(tmp_path, monkeypatch, capsys):
+    """Any argv or config file of bound and optimize-m: exit 0, 1 or 2; an
+    error is exactly one 'error: ' line, and success prints nothing to stderr."""
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "fuzz.cfg"
+
+    @settings(max_examples=200)
+    @given(data=st.data(), command=st.sampled_from(sorted(_FUZZ_BASE)))
+    def check(data, command):
+        argv, in_file = [command], {}
+        for key, base in _FUZZ_BASE[command].items():
+            value = data.draw(st.one_of(st.just(base), _FUZZ_VALUES), label=key)
+            if value is None:
+                continue
+            where = data.draw(st.sampled_from(["--key value", "--key=value", "file"]))
+            if where == "file":
+                in_file[key] = value
+            else:
+                argv += [f"--{key}={value}"] if "=" in where else [f"--{key}", value]
+        if in_file:
+            cfg.write_text("".join(f"{key} = {value}\n" for key, value in in_file.items()))
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, (argv, err)
+        else:
+            assert err == "", (argv, err)
+
+    check()
 
 
 class TestEstimateCommand:
@@ -656,6 +772,22 @@ class TestConfigFile:
             flags += [f"--config={cfg}"] if equals else ["--config", str(cfg)]
         code, out, err = run_cli(["bound", *flags], capsys)
         assert (code, out, err) == (2, "", "error: invalid: --config given more than once\n")
+
+    def test_value_starting_with_dash(self, tmp_path, monkeypatch, capsys):
+        """A file's value is one --key=value token, so "-r.csv" is the path."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "exp.cfg").write_text(
+            "k = 1\nl = 4\nm = 100\nn = 1000\ndelta = 0.1\nout = -r.csv\n")
+        code, _, err = run_cli(["bound", "--config", "exp.cfg"], capsys)
+        assert (code, err) == (0, "")
+        assert (tmp_path / "-r.csv").read_text().startswith("k,l,m,n,delta,")
+
+    def test_value_typed_by_argparse_names_the_option(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("k = 1\nl = 4\nm = 100\nn = 1e3\ndelta = 0.1\n")
+        code, out, err = run_cli(["bound", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid: argument --n: invalid int value: '1e3'\n"
 
     def test_leading_flag_without_command_in_file(self, tmp_path, capsys):
         cfg = tmp_path / "nocmd.cfg"

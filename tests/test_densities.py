@@ -78,6 +78,16 @@ class TestTentDensity:
         assert tent_density(1).lipschitz_L == 4.0
         assert tent_density(2).lipschitz_L == 8.0
 
+    def test_lipschitz_constant_up_to_float_range(self):
+        for K in (1, 52, 53, 1021, 1022):
+            assert tent_density(K).lipschitz_L == float(2 ** (K + 1))
+
+    @pytest.mark.parametrize("K", [1023, 1100, 10**400], ids=["1023", "1100", "400-digit"])
+    def test_lipschitz_constant_beyond_float_range(self, K):
+        """2^(K+1) is never built as an exact integer: a huge K fails at once."""
+        with pytest.raises(OverflowError):
+            tent_density(K)
+
     def test_domain_error(self):
         with pytest.raises(ValueError):
             tent_density(0)

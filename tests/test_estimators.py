@@ -421,6 +421,14 @@ class TestTwoCellKlPlugin:
         with pytest.raises(ValueError, match=f"no {empty} samples"):
             two_cell_kl_plugin(*args)
 
+    @pytest.mark.parametrize("wide", ["p", "q"])
+    def test_second_column_refused(self, wide):
+        """Only the first column would be read, so a wider sample is refused."""
+        xs, two = np.array([[-0.5], [0.5]]), np.array([[-0.5, 5.0], [0.5, 7.0]])
+        args = (two, xs) if wide == "p" else (xs, two)
+        with pytest.raises(ValueError, match=f"^{wide} samples must have one column, got 2$"):
+            two_cell_kl_plugin(*args)
+
     @pytest.mark.parametrize("bad", [1.0, -1.5, math.nan])
     def test_sample_outside_cells_refused(self, bad):
         """A point that no cell holds is named, not dropped from both masses."""

@@ -2,6 +2,7 @@
 import collections
 import math
 import sys
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -76,26 +77,31 @@ def test_zero_columns_rejected(call):
         call()
 
 
+def _count_dict(hist):
+    """The histogram as a bin-index tuple -> count dict, in row-major bin order."""
+    return dict(zip(map(tuple, hist.bins.tolist()), hist.counts.tolist()))
+
+
 class TestBuildHistogram:
     def test_hand_binning(self):
         hist = build_histogram([[0.1], [0.1], [0.9]], 2)
-        assert hist.counts == {(0,): 2, (1,): 1}
+        assert _count_dict(hist) == {(0,): 2, (1,): 1}
         assert hist.N == 3 and hist.K == 1 and hist.M == 2
 
     def test_identical_points_single_key(self):
         hist = build_histogram([[0.4, 0.6]] * 25, 8)
-        assert hist.counts == {(3, 4): 25}
+        assert _count_dict(hist) == {(3, 4): 25}
 
     def test_order_invariance(self):
         rng = generator(1)
         pts = rng.random((500, 2))
         shuffled = pts[rng.permutation(500)]
-        assert build_histogram(pts, 13).counts == build_histogram(shuffled, 13).counts
+        assert _count_dict(build_histogram(pts, 13)) == _count_dict(build_histogram(shuffled, 13))
 
     def test_counts_sum_to_N(self):
         pts = generator(2).random((1000, 3))
         hist = build_histogram(pts, 5)
-        assert sum(hist.counts.values()) == 1000
+        assert int(hist.counts.sum()) == 1000
         assert len(hist.counts) <= min(1000, 5**3)
 
     def test_merge_property(self):
@@ -103,11 +109,11 @@ class TestBuildHistogram:
         rng = generator(3)
         a, b = rng.random((400, 2)), rng.random((300, 2))
         ha, hb = build_histogram(a, 9), build_histogram(b, 9)
-        merged = dict(ha.counts)
-        for key, count in hb.counts.items():
+        merged = _count_dict(ha)
+        for key, count in _count_dict(hb).items():
             merged[key] = merged.get(key, 0) + count
         hab = build_histogram(np.vstack([a, b]), 9)
-        assert hab.counts == merged
+        assert _count_dict(hab) == merged
 
     def test_wide_grid_fallback_path(self):
         """M^K beyond the packing range still counts correctly."""
@@ -115,7 +121,7 @@ class TestBuildHistogram:
         pts = np.array([[0.1, 0.6], [0.1, 0.6], [0.9, 0.2]])
         hist = build_histogram(pts, M)
         assert hist.N == 3 and len(hist.counts) == 2
-        assert sorted(hist.counts.values()) == [1, 2]
+        assert sorted(hist.counts.tolist()) == [1, 2]
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
@@ -127,7 +133,7 @@ class TestBuildHistogram:
 
     def test_one_dimensional_input_convenience(self):
         hist = build_histogram([0.1, 0.1, 0.9], 2)
-        assert hist.counts == {(0,): 2, (1,): 1}
+        assert _count_dict(hist) == {(0,): 2, (1,): 1}
 
     def test_out_of_support_names_row_in_later_block(self):
         pts = generator(11).random((2**16 + 10, 2))
@@ -137,11 +143,11 @@ class TestBuildHistogram:
 
     def test_arrays_read_only(self):
         hist = build_histogram(generator(10).random((50, 2)), 4)
-        for arr in (hist.bins, hist.tally):
+        for arr in (hist.bins, hist.counts):
             with pytest.raises(ValueError):
                 arr[0] = 0
-        with pytest.raises(TypeError):
-            hist.counts[(0, 0)] = 1
+        with pytest.raises(FrozenInstanceError):
+            hist.counts = np.ones(1, dtype=np.int64)
 
     def test_equality(self):
         pts = generator(12).random((200, 2))
@@ -149,7 +155,7 @@ class TestBuildHistogram:
 
 
 def _hist_bits(hist):
-    return (hist.K, hist.M, hist.N, hist.bins.tobytes(), hist.tally.tobytes(),
+    return (hist.K, hist.M, hist.N, hist.bins.tobytes(), hist.counts.tobytes(),
             plugin_entropy(hist).hex())
 
 
@@ -158,7 +164,7 @@ def _hist_bits(hist):
 _POOL_CASES = [(1, 7644), (2, 329), (3, 64), (1, 2**22), (2, 2**11), (3, 2**8), (3, 2**21)]
 
 
-class TestBlockPool:
+class TestThreadCountInvariance:
     @pytest.mark.parametrize("N", [2**16 + 1, 3 * 2**16 + 5])
     @pytest.mark.parametrize("K, M", _POOL_CASES)
     def test_same_bits_for_any_thread_count(self, K, M, N, monkeypatch):
@@ -313,11 +319,12 @@ def test_counts_match_pointwise_reference(K, M, N):
         _assert_bin_count_rejected(points, M)
         return
     hist = build_histogram(points, M)
-    assert hist.counts == _reference_counts(points, M)
-    assert list(hist.counts) == sorted(hist.counts)  # row-major bin order
-    assert int(hist.tally.sum()) == N
-    # the entropy of the counts read back through the mapping, bit for bit
-    reference = _count_entropy(np.fromiter(hist.counts.values(), float), N)
+    expected = _reference_counts(points, M)
+    assert _count_dict(hist) == expected
+    assert list(_count_dict(hist)) == sorted(expected)  # row-major bin order
+    assert int(hist.counts.sum()) == N
+    # the entropy of the reference counts in row-major order, bit for bit
+    reference = _count_entropy(np.array([expected[b] for b in sorted(expected)], float), N)
     assert plugin_entropy(hist) == reference
 
 
@@ -373,12 +380,12 @@ def test_bin_indices_match_reference_near_edges(pad, M, seed):
 
 
 def _assert_matches_references(points, M):
-    """Same bins and tally as the contiguous copy and as the reference rule."""
+    """Same bins and counts as the contiguous copy and as the reference rule."""
     hist = build_histogram(points, M)
     copy = build_histogram(np.array(points, order="C"), M)
-    bins, tally = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
-    assert np.array_equal(hist.bins, copy.bins) and np.array_equal(hist.tally, copy.tally)
-    assert np.array_equal(hist.bins, bins) and np.array_equal(hist.tally, tally)
+    bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
+    assert np.array_equal(hist.bins, copy.bins) and np.array_equal(hist.counts, copy.counts)
+    assert np.array_equal(hist.bins, bins) and np.array_equal(hist.counts, counts)
 
 
 _LAYOUTS = {
@@ -450,7 +457,7 @@ class TestFlaggedColumns:
         points = np.zeros((2**16 + 1, 2))
         hist = build_histogram(points, 72)
         assert fixed == _block_sizes(2**16 + 1, 2)
-        assert hist.bins.tolist() == [[0, 0]] and hist.tally.tolist() == [2**16 + 1]
+        assert hist.bins.tolist() == [[0, 0]] and hist.counts.tolist() == [2**16 + 1]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "reversed rows"])
@@ -536,7 +543,7 @@ class TestOutOfCube:
         points[2**16] = [-0.0, 1.0, -0.0]
         points[3] = [1.0, -0.0, 1.0]
         _assert_matches_references(points, 4)
-        counts = build_histogram(points, 4).counts
+        counts = _count_dict(build_histogram(points, 4))
         assert counts[(0, 3, 0)] >= 1 and counts[(3, 0, 3)] >= 1
 
 
@@ -545,24 +552,24 @@ _GRID_BITS = st.integers(0, 40).flatmap(lambda b: st.integers(2**b, 2**(b + 1) -
 
 @given(data=st.data(), K=st.integers(1, 3), M=_GRID_BITS, N=st.integers(1, 40))
 def test_histogram_properties(data, K, M, N):
-    """Keys, bins and tally agree with each other and bound the plug-in entropy."""
+    """Keys, bins and counts agree with each other and bound the plug-in entropy."""
     coords = st.one_of(st.floats(0.0, 1.0), st.integers(0, M).map(lambda i: i / M))
     points = data.draw(hnp.arrays(np.float64, (N, K), elements=coords))
     hist = build_histogram(points, M)
     bins = hist.bins
-    assert bins.shape == (hist.tally.size, K) and not bins.flags.writeable
+    assert bins.shape == (hist.counts.size, K) and not bins.flags.writeable
     rows = [tuple(row) for row in bins.tolist()]
     assert rows == sorted(set(rows))  # unique, in row-major order
     if hist.keys.ndim == 1:  # packed: K * log2(M) < 62
         assert np.array_equal(hist.keys, np.ravel_multi_index(bins.T, (M,) * K))
     else:
         assert np.array_equal(hist.keys, bins)
-    assert hist.tally.sum() == N
+    assert hist.counts.sum() == N
     assert 0.0 <= plugin_entropy(hist) <= math.log(min(N, M**K))
 
 
 def test_estimates_never_decode_bins(monkeypatch):
-    """Estimates read only the tally: no bins, no counts, no np.unravel_index."""
+    """Estimates read only the counts: no bins, no np.unravel_index."""
     def fail(*args, **kwargs):
         raise AssertionError("bins decoded")
 
@@ -606,7 +613,7 @@ class TestPluginEntropy:
 
     def test_matches_exact_discrete_entropy(self):
         hist = build_histogram(generator(6).random((500, 1)), 7)
-        pmf = np.array(list(hist.counts.values())) / hist.N
+        pmf = hist.counts / hist.N
         assert plugin_entropy(hist) == pytest.approx(exact_discrete_entropy(pmf), abs=1e-12)
 
     def test_count_logs_from_libm(self):
