@@ -274,7 +274,8 @@ def _require(config: argparse.Namespace, *names: str) -> None:
             raise ValueError(f"{config.command}: missing required option --{name}")
 
 
-def _load_density(config: argparse.Namespace, K: int):
+def _load_density(config: argparse.Namespace, option: str):
+    """The --density model in the dimension that option (k, k1 or k2) gives."""
     if config.density is None:
         raise ValueError(f"{config.command}: requires --density")
     try:
@@ -283,14 +284,17 @@ def _load_density(config: argparse.Namespace, K: int):
         raise ValueError(
             f"unknown density {config.density!r} (available: {sorted(_DENSITIES)})"
         ) from None
-    return factory(K)
+    try:
+        return factory(getattr(config, option))
+    except OverflowError as exc:
+        raise ValueError(f"--{option}: {exc}") from None
 
 
 def _entropy_samples(config: argparse.Namespace) -> np.ndarray:
     if config.input is not None:
         return ingest(config.input, config.format, k=config.k)
     _require(config, "n")
-    model = _load_density(config, config.k)
+    model = _load_density(config, "k")
     return sample(model, config.n, config.seed)
 
 
@@ -340,8 +344,8 @@ def _cmd_mi_estimate(config: argparse.Namespace):
         pts = ingest(config.input, config.format, k=k1 + k2)
     else:
         _require(config, "n")
-        pts = np.hstack([sample(_load_density(config, k), config.n, split(config.seed, i))
-                         for i, k in enumerate((k1, k2))])
+        pts = np.hstack([sample(_load_density(config, option), config.n, split(config.seed, i))
+                         for i, option in enumerate(("k1", "k2"))])
     report = estimate_mi_certified(pts, k1, config.l, config.delta, seed=config.seed)
     m_x, m_y, m_xy = (part.params.M for part in report.components)
     row = {**_certificate(report), "m_x": m_x, "m_y": m_y, "m_xy": m_xy, "N": report.params.N}
@@ -351,7 +355,7 @@ def _cmd_mi_estimate(config: argparse.Namespace):
 
 def _cmd_coverage(config: argparse.Namespace):
     _require(config, "l", "n", "delta", "trials")
-    model = _load_density(config, config.k)
+    model = _load_density(config, "k")
     if model.analytic_entropy is None:
         raise ValueError("coverage requires a density with known entropy")
     truth = model.analytic_entropy
@@ -547,6 +551,8 @@ def _validate_config(config: argparse.Namespace) -> None:
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")
+        if value is not None and value > sys.float_info.max:
+            raise ValueError(f"--{name} exceeds the largest float64, {sys.float_info.max!r}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed!r}")
     _m_values(config.m_list)

@@ -11,16 +11,27 @@ M is at most 2^53: beyond it float64 cannot tell neighbouring bin edges
 apart, so binning rejects larger M.
 
 This module is the only one that knows the bin rule and the key format.
-``_bin_keys`` quantizes serially in cache-sized blocks of rows.  Each block
-is copied once into a contiguous (K, B) array, one row per coordinate, and
-takes one certified floor of x*M, which is the bin index except within a
-few ulps of a bin edge; only a block with a coordinate there goes through
-the exact edge fix-up (see ``_bin_indices``).  The block's K index rows are
-then folded into its row-major int64 keys while M^K < 2^62.  ``_tally``
-counts the keys with a dense ``bincount`` only when the grid is small
-(M^K <= 4N), otherwise by sorting them, so memory stays O(N); ``_bin_ranks``
-gives each row the rank of its bin among the occupied ones, for
-``estimators.discrete_mi_plugin``.  Only these three read the key layout.
+Rows are quantized serially in blocks of ``_BLOCK_ROWS`` by one kernel,
+``_quantize_block``, which writes into this thread's workspace: a
+(K, ``_BLOCK_ROWS``) float64 buffer and an int64 buffer of the same shape,
+16*K*``_BLOCK_ROWS`` bytes (less while the thread has only seen smaller
+blocks), kept for the thread's life and released with it.  So a run of
+many binning calls on one thread, as coverage's trials are, touches the
+same pages each time.
+The kernel scales each coordinate column into the float buffer, checks the
+unit cube there and takes one certified floor of x*M into the int64
+buffer, which is the bin index except within a few ulps of a bin edge;
+only a block with a coordinate there goes through the exact edge fix-up
+(see ``_bin_indices``).
+
+``build_histogram`` counts a small grid (M^K <= ``_BLOCK_ROWS``) block by
+block into one dense tally, so it forms no N-row array at all.  Larger
+grids go through ``_bin_keys``, which folds each block's K index rows into
+row-major int64 keys while M^K < 2^62, and ``_tally``, which counts the
+keys with a dense ``bincount`` only when M^K <= 4N, otherwise by sorting
+them, so memory stays O(N); ``_bin_ranks`` gives each row the rank of its
+bin among the occupied ones, for ``estimators.discrete_mi_plugin``.  Only
+these read the key layout.
 
 A histogram is two arrays in row-major bin order: ``keys``, its occupied
 bins (at most N), and ``counts``, their counts.  The plug-in estimate reads
@@ -31,6 +42,7 @@ parallelism lives a level up, on whole estimates (see ``estimators``).
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +58,15 @@ __all__ = [
     "estimate_differential_entropy",
 ]
 
-# Rows quantized per block: keeps the (K, B) temporaries in cache.  2^14
-# rows were as fast on one thread, but slower with two threads binning at
-# once, as coverage's trials do.
+# Rows quantized per block: the kernel's passes over the two (K, B)
+# workspace buffers stay in cache.  Re-measured with this kernel on a 2-vCPU
+# host (best of 5, one thread / two threads binning at once): for the 1e6-row
+# M = 7644 term of mi-estimate, 2^13 rows took 8.4 / 28 ms against
+# 6.7 / 12 ms at 2^15, and 2^16 was no faster than 2^15 on any term.
 _BLOCK_ROWS = 1 << 15
+
+# Each thread's block workspace, see _block_buffers.
+_workspace = threading.local()
 
 # Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
@@ -159,11 +176,20 @@ def _bin_indices(x: np.ndarray, M: int) -> np.ndarray:
     """The int64 bin index of every coordinate of x in [0, 1], with x's shape.
 
     The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
-    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``.
-    ``_bin_keys`` passes one (K, B) block at a time.
+    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``.  The
+    coordinates are quantized as one column, by the same block kernel,
+    ``_quantize_block``, that serves ``_bin_keys`` and ``build_histogram``;
+    a coordinate outside [0, 1] raises ``OutOfSupportError``.
 
-    Certified floor.  Let f = fl(x*M), i = floor(f) and r = f - i, which is
-    exact (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
+    Cube check.  The kernel checks f = fl(x*M), not x: for an integer
+    1 <= M <= 2^53, x is in [0, 1] exactly when f is in [0, M].  If
+    0 <= x <= 1 then 0 <= x*M <= M, and rounding is monotone and keeps 0
+    and M.  If x < 0 then x*M <= x < 0, so f <= x < 0.  If x > 1 then
+    x >= 1 + 2^-52 and x*M >= M + M*2^-52, which is at least the float
+    after M, so f > M.  NaN fails both compares.
+
+    Certified floor.  Let i = floor(f) and r = f - i, which is exact
+    (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
     delta <= r <= 1 - delta keep i; the others go through the exact edge
     fix-up of ``_fix_edges``.  Proof that an unflagged i is what the fix-up
     would return: |f - xM| <= uM since x <= 1, so
@@ -173,20 +199,56 @@ def _bin_indices(x: np.ndarray, M: int) -> np.ndarray:
     clamp and both +-1 steps leave i unchanged.  The compares on r are
     exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
     delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
+    Since i <= M <= 2^53, the floor is exact in int64 too.
 
-    The fix-up runs on the whole array when any element is flagged: it
-    leaves unflagged elements as they are, and random data below M = 2^50
-    is almost never flagged at all.
+    The fix-up runs on a whole block when any of its elements is flagged:
+    it leaves unflagged elements as they are, and random data below
+    M = 2^50 is almost never flagged at all.
     """
-    f = x * M
-    idx = np.floor(f)
+    column = x.reshape(-1, 1)
+    out = np.empty(column.shape[0], dtype=np.int64)
+    for start in range(0, column.shape[0], _BLOCK_ROWS):
+        idx = _quantize_block(column[start:start + _BLOCK_ROWS], start, M)
+        out[start:start + _BLOCK_ROWS] = idx[0]
+    return out.reshape(x.shape)
+
+
+def _block_buffers(k: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """This thread's workspace as contiguous (k, b) float64 and int64 views.
+
+    Remade only when a block has more elements than any before it on this
+    thread, so every later block reuses the same memory, at most
+    16*K*``_BLOCK_ROWS`` bytes.
+    """
+    if getattr(_workspace, "size", 0) < k * b:
+        _workspace.size = k * b
+        _workspace.scaled = np.empty(_workspace.size)
+        _workspace.index = np.empty(_workspace.size, dtype=np.int64)
+    return (_workspace.scaled[:k * b].reshape(k, b),
+            _workspace.index[:k * b].reshape(k, b))
+
+
+def _quantize_block(block: np.ndarray, start: int, M: int) -> np.ndarray:
+    """The bin indices of a (b, K) block of rows, as a (K, b) view of the workspace.
+
+    ``start`` is the index of the block's first row, for the error message.
+    The view holds only until this thread's next call, so the caller copies
+    or folds it first.  See ``_bin_indices`` for the rule and its proofs.
+    """
+    b, k = block.shape
+    f, idx = _block_buffers(k, b)
+    for j in range(k):
+        # The scale is the transposing copy: every later pass runs on the
+        # contiguous rows of f, where numpy's inner loops are b elements long.
+        np.multiply(block[:, j], M, out=f[j])
+    if not (f.min() >= 0.0 and f.max() <= M):  # x in [0, 1]^K; NaN fails both
+        _check_unit_cube(block, start)  # names the first bad row
+    np.floor(f, out=idx, casting="unsafe")
     f -= idx
     delta = M * 2.0**-51
-    near = f < delta
-    near |= f > 1.0 - delta
-    if near.any():
-        _fix_edges(idx, x, M)
-    return idx.astype(np.int64)
+    if f.min() < delta or f.max() > 1.0 - delta:
+        _fix_edges(idx, block.T, M)
+    return idx
 
 
 def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
@@ -194,44 +256,57 @@ def _fix_edges(idx: np.ndarray, x: np.ndarray, M: int) -> None:
     np.minimum(idx, M - 1, out=idx)
     # floor(x*M) can land one bin off when the product rounds across an
     # edge; fix against the rounded edges i/M themselves.  idx holds exact
-    # integers (M <= 2^53), so adding the 0/1 masks is an integer +1 / -1.
+    # integers (M <= 2^53), so idx + 1 and idx / M are the float edges'
+    # own operations, and adding the 0/1 masks is an integer +1 / -1.
     idx += (idx < M - 1) & ((idx + 1) / M <= x)
     idx -= idx / M > x
+
+
+def _fold_keys(idx: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
+    """Horner-fold (K, b) index rows into row-major keys in out; exact below 2^62."""
+    out[:] = idx[0]
+    for row in idx[1:]:  # ((i_0 * M + i_1) * M + i_2) ...
+        out *= M
+        out += row
+    return out
 
 
 def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
     """Row-major flat bin key of every row of (n, K) points; M must pass ``_bin_count``.
 
-    Rows are quantized in blocks of ``_BLOCK_ROWS``.  Each block is copied
-    once into a contiguous (K, B) array (a view for Fortran-order input),
-    checked against the unit cube and quantized by one ``_bin_indices``
-    call, and its K index rows are folded into int64 keys.  From
-    M^K >= 2^62 on a flat key could overflow int64, and the result is the
-    (n, K) bin index rows instead.  A row outside [0, 1]^K raises
-    ``OutOfSupportError`` naming the first one.
+    Rows are quantized in blocks of ``_BLOCK_ROWS`` by ``_quantize_block``,
+    and each block's K index rows are folded straight into its slice of the
+    int64 keys.  From M^K >= 2^62 on a flat key could overflow int64, and
+    the result is the (n, K) bin index rows instead.  A row outside
+    [0, 1]^K raises ``OutOfSupportError`` naming the first one.
     """
     n, k = points.shape
     packed = M**k < 2**62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
     for start in range(0, n, _BLOCK_ROWS):
-        block = points[start:start + _BLOCK_ROWS]
-        # Every elementwise op runs on contiguous rows of the (K, B) copy: on
-        # a strided (B, K) view numpy's inner loops would be K elements long.
-        cols = np.ascontiguousarray(block.T)
-        if not (cols.min() >= 0.0 and cols.max() <= 1.0):  # NaN fails both
-            _check_unit_cube(block, start)  # names the first bad row
-        idx = _bin_indices(cols, M)
+        idx = _quantize_block(points[start:start + _BLOCK_ROWS], start, M)
         key = keys[start:start + _BLOCK_ROWS]
-        if not packed:
+        if packed:
+            _fold_keys(idx, M, out=key)
+        else:
             key[:] = idx.T
-            continue
-        # Horner: ((i_0 * M + i_1) * M + i_2) ..., exact below 2^62.
-        acc = idx[0]
-        for j in range(1, k):
-            acc *= M
-            acc += idx[j]
-        key[:] = acc
     return keys
+
+
+def _dense_counts(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied keys and counts of (n, K) points on a grid of M^K <= ``_BLOCK_ROWS`` bins.
+
+    Each block's keys are folded in place into the workspace and counted
+    into one dense tally, so no N-row array is formed.  Same result as
+    ``_tally(_bin_keys(points, M), M, K)``.
+    """
+    size = M ** points.shape[1]
+    tally = np.zeros(size, dtype=np.int64)
+    for start in range(0, points.shape[0], _BLOCK_ROWS):
+        idx = _quantize_block(points[start:start + _BLOCK_ROWS], start, M)
+        tally += np.bincount(_fold_keys(idx, M, out=idx[0]), minlength=size)
+    occupied = np.flatnonzero(tally)
+    return occupied, tally[occupied]
 
 
 def _tally(keys: np.ndarray, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
@@ -269,7 +344,10 @@ def build_histogram(samples, M: int) -> SparseHistogram:
     n, k = points.shape
     if n == 0:
         raise ValueError("cannot build a histogram from zero samples")
-    keys, counts = _tally(_bin_keys(points, M), M, k)
+    if M**k <= _BLOCK_ROWS:
+        keys, counts = _dense_counts(points, M)
+    else:
+        keys, counts = _tally(_bin_keys(points, M), M, k)
     return SparseHistogram(K=k, M=M, N=n, keys=keys, counts=counts)
 
 

@@ -224,6 +224,26 @@ def test_number_beyond_float_range_invalid(argv, capsys):
     assert err.startswith("error: invalid: ") and len(err.splitlines()) == 1
 
 
+_FLOAT_MAX = "1.7976931348623157e+308"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["bound", "--k", "1", "--l", "4", "--m", _HUGE, "--n", "1000", "--delta", "0.1"],
+     f"--m exceeds the largest float64, {_FLOAT_MAX}"),
+    (["estimate", "--density", "tent", "--k", "1100", "--l", "4", "--n", "1000",
+      "--delta", "0.1"],
+     "--k: dimension K = 1100 is too large: L = 2^(K+1) overflows float64"),
+    (["mi-estimate", "--density", "tent", "--k1", "1", "--k2", "1100", "--l", "4",
+      "--n", "1000", "--delta", "0.1"],
+     "--k2: dimension K = 1100 is too large: L = 2^(K+1) overflows float64"),
+    (["estimate", "--density", "tent", "--k", _HUGE, "--l", "4", "--n", "1000",
+      "--delta", "0.1"],
+     f"--k exceeds the largest float64, {_FLOAT_MAX}"),
+], ids=["bound-m", "tent-k-1100", "mi-k2-1100", "tent-k-huge"])
+def test_number_beyond_float_range_names_its_option(argv, err, capsys):
+    assert run_cli(argv, capsys) == (2, "", f"error: invalid: {err}\n")
+
+
 def test_subnormal_l_gives_finite_bound(capsys):
     """2 * (K+1)! / L overflows at L = 5e-324; eta takes its log form instead."""
     code, out, err = run_cli(

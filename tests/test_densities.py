@@ -1,6 +1,7 @@
 """Density models: exact entropies, Lipschitz constants, samplers, adversaries."""
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from entrobound import (
     trapezoid_entropy,
     uniform_density,
 )
-from entrobound.densities import DiscreteMiAdversary, _tent1_ppf
+from entrobound.densities import _PPF_SLICE, DiscreteMiAdversary, _tent1_ppf
 from entrobound.rng import generator, split
 
 TENT_H1 = 0.5 - math.log(2.0)  # -0.19314718055994531
@@ -85,7 +86,7 @@ class TestTentDensity:
     @pytest.mark.parametrize("K", [1023, 1100, 10**400], ids=["1023", "1100", "400-digit"])
     def test_lipschitz_constant_beyond_float_range(self, K):
         """2^(K+1) is never built as an exact integer: a huge K fails at once."""
-        with pytest.raises(OverflowError):
+        with pytest.raises(OverflowError, match=r"^dimension K = \d+ is too large: L = 2\^\(K\+1\)"):
             tent_density(K)
 
     def test_domain_error(self):
@@ -182,6 +183,19 @@ class TestSampling:
             got = _tent1_ppf(u)
             assert got is u
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+    def test_tent_ppf_memory_is_one_slice(self):
+        """The passes run slice by slice: the only array allocated is the
+        slice-sized temporary, whatever the size of u (here 2 x 10^5)."""
+        u = generator(8).random((10**5, 2))
+        tracemalloc.start()
+        try:
+            _tent1_ppf(u)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * _PPF_SLICE + 4096  # the temporary and a few slice views
 
 
 class TestLowEntropyAlt:

@@ -2,6 +2,8 @@
 import collections
 import math
 import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -545,6 +547,155 @@ class TestOutOfCube:
         _assert_matches_references(points, 4)
         counts = _count_dict(build_histogram(points, 4))
         assert counts[(0, 3, 0)] >= 1 and counts[(3, 0, 3)] >= 1
+
+
+# The block kernel: bin counts with all edges exact, with edges far apart
+# and close, M^2 packed and as index rows, and M = 2^50 and 2^53, where every
+# coordinate takes the edge fix-up.
+_KERNEL_BIN_COUNTS = [1, 3, 72, 113, 7644, 2**26 + 1, 2**50, 2**53]
+
+
+def _kernel_points(M, K, rng):
+    """(B + 100, K) random points holding -0.0, 5e-324, 1.0 and edges i/M with
+    their neighbours one ulp either side (every edge for M <= 7644, else 4000
+    and the outermost), scattered over every block; and a (B + 100, 2K) array
+    whose even columns are those points."""
+    if M <= 7644:
+        i = np.arange(M + 1)
+    else:
+        i = np.unique(np.concatenate([[0, 1, M // 2, M - 1, M], rng.integers(0, M + 1, size=4000)]))
+    edges = i / M
+    pool = np.concatenate([
+        [-0.0, 5e-324, 1.0], edges,
+        np.nextafter(edges[edges > 0.0], 0.0), np.nextafter(edges[edges < 1.0], 2.0),
+    ])
+    points = rng.random((_B + 100, K))
+    points.reshape(-1)[rng.choice(points.size, size=pool.size, replace=False)] = pool
+    wide = rng.random((_B + 100, 2 * K))
+    wide[:, ::2] = points
+    return points, wide
+
+
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("M", _KERNEL_BIN_COUNTS)
+def test_block_kernel_matches_integer_reference(M, K):
+    """_bin_indices, _bin_keys and the small-grid counts in every memory layout."""
+    points, wide = _kernel_points(M, K, generator(4500 + K))
+    layouts = {
+        "C order": points,
+        "Fortran order": np.asfortranarray(points),
+        "column-strided": wide[:, ::2],
+        "row-reversed": points[::-1],
+    }
+    for layout, pts in layouts.items():
+        expected = _reference_bin_indices(pts, M)
+        assert np.array_equal(_bin_indices(pts, M), expected), layout
+        if M**K < 2**62:
+            expected = np.ravel_multi_index(tuple(expected.T), (M,) * K)
+        keys = histogram._bin_keys(pts, M)
+        assert keys.dtype == np.int64 and np.array_equal(keys, expected), layout
+        if M**K <= _B:
+            occupied, counts = histogram._dense_counts(pts, M)
+            ref_occupied, ref_counts = np.unique(expected, return_counts=True)
+            assert np.array_equal(occupied, ref_occupied), layout
+            assert np.array_equal(counts, ref_counts), layout
+
+
+_BAD_VALUES = [
+    (float(np.nextafter(1.0, 2.0)), "1.0000000000000002"),
+    (-5e-324, "-5e-324"),
+    (float("nan"), "nan"),
+    (float("inf"), "inf"),
+    (float("-inf"), "-inf"),
+]
+
+
+@pytest.mark.parametrize("value, shown", _BAD_VALUES, ids=[v[1] for v in _BAD_VALUES])
+@pytest.mark.parametrize("M", [3, 7644, 2**53])
+def test_out_of_cube_named_in_a_later_block(M, value, shown):
+    """The scaled cube check rejects what the unscaled one did, with its message.
+
+    The bad row sits in the third block; a later row is bad in an earlier
+    column.  M = 3 counts the small grid, 7644 and 2^53 go through _bin_keys.
+    """
+    points = generator(4510).random((2 * _B + 20, 2))
+    points[2 * _B + 9] = [0.5, value]
+    points[2 * _B + 15] = [value, 0.5]
+    message = _cube_message(2 * _B + 9, f"[0.5, {shown}]")
+    calls = [build_histogram, histogram._bin_keys]
+    if M**2 <= _B:
+        calls.append(histogram._dense_counts)
+    for call in calls:
+        for layout in (points, np.asfortranarray(points)):
+            with pytest.raises(OutOfSupportError) as exc:
+                call(layout, M)
+            assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("N", [_B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("K, M", [(1, _B), (3, 32), (1, _B + 1)])
+def test_counting_paths_agree_at_the_block_size(K, M, N, monkeypatch):
+    """M^K = B counts the small grid block by block, M^K = B + 1 goes through
+    _bin_keys and _tally; either way the histogram is the same."""
+    rng = generator(4520 + K + N % 7)
+    points = rng.choice(_edge_pool(M, rng), size=(N, K))
+    dense = histogram.SparseHistogram(K, M, N, *histogram._dense_counts(points, M))
+    keyed = histogram.SparseHistogram(K, M, N, *histogram._tally(histogram._bin_keys(points, M), M, K))
+    assert dense == keyed
+    bin_keys = histogram._bin_keys
+    calls = []
+    monkeypatch.setattr(histogram, "_bin_keys", lambda *a: calls.append(1) or bin_keys(*a))
+    assert build_histogram(points, M) == dense
+    assert bool(calls) == (M**K > _B)
+    bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
+    assert np.array_equal(dense.bins, bins) and np.array_equal(dense.counts, counts)
+
+
+def _traced_peak(fn, *args):
+    """The traced peak of fn(*args) in bytes, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestWorkspace:
+    """Each thread bins in one workspace, made once and reused by every call."""
+
+    def test_small_grid_memory_does_not_grow_with_n(self):
+        points = generator(4530).random((10**6, 2))
+        build_histogram(points[:_B], 113)  # this thread's workspace holds a whole block
+        small, _ = _traced_peak(build_histogram, points[:10**5], 113)
+        large, hist = _traced_peak(build_histogram, points, 113)
+        assert hist.N == 10**6
+        assert abs(large - small) <= 8 * 2 * _B
+        assert large < 8 * 10**5  # a tenth of 10^6 int64 keys
+
+    def test_second_call_reuses_the_workspace(self):
+        points = generator(4531).random((3 * _B, 2))
+        histogram._bin_keys(points, 72)
+        scaled, index = histogram._workspace.scaled, histogram._workspace.index
+        peak, keys = _traced_peak(histogram._bin_keys, points, 72)
+        assert histogram._workspace.scaled is scaled and histogram._workspace.index is index
+        assert peak - keys.nbytes < 8 * _B  # less than one row of either buffer
+
+    def test_threads_keep_their_own(self):
+        """Threads binning at once, each at its own K and M, match the serial keys."""
+        rng = generator(4532)
+        jobs = [(rng.random((2 * _B + 9, K)), M) for K, M in [(1, 7644), (2, 72), (3, 113), (2, 2**50)]]
+        expected = [histogram._bin_keys(pts, M) for pts, M in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(jobs)) as pool:
+                for _ in range(3):
+                    got = list(pool.map(lambda job: histogram._bin_keys(*job), jobs, timeout=60))
+                    assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 _GRID_BITS = st.integers(0, 40).flatmap(lambda b: st.integers(2**b, 2**(b + 1) - 1))
