@@ -16,7 +16,6 @@ from .bounds import (
     BoundParams,
     ConfidenceBound,
     alpha_const,
-    discrete_entropy_bounds,
     empirical_bias,
     eta,
     min_valid_M,
@@ -30,7 +29,6 @@ from .densities import (
     DensityModel,
     affine_rescale,
     binary_entropy,
-    collision_probability,
     discrete_mi_adversary,
     disjoint_mixture_entropy,
     kl_step_pair,
@@ -67,7 +65,6 @@ from .histogram import (
     build_histogram,
     estimate_differential_entropy,
     plugin_entropy,
-    quantize_index,
 )
 from .oracle import (
     QuadratureResult,
@@ -80,9 +77,7 @@ from .oracle import (
     integrate_box,
     kl_true_divergence,
     numeric_entropy,
-    numeric_kl,
     quantized_companion,
-    trapezoid_entropy,
 )
 from .rng import generator, split
 
@@ -91,20 +86,20 @@ __all__ = [
     # bounds
     "BoundParams", "ConfidenceBound", "alpha_const", "eta", "min_valid_M",
     "quantization_bias", "statistical_deviation", "empirical_bias",
-    "total_bound", "optimize_M", "discrete_entropy_bounds",
+    "total_bound", "optimize_M",
     # histogram
-    "SparseHistogram", "quantize_index", "build_histogram", "plugin_entropy",
+    "SparseHistogram", "build_histogram", "plugin_entropy",
     "estimate_differential_entropy",
     # densities
     "DensityModel", "ContaminationSpec", "tent_density", "uniform_density",
     "low_entropy_alt", "prop1_mixture", "binary_entropy",
     "disjoint_mixture_entropy", "mi_adversary", "discrete_mi_adversary",
-    "collision_probability", "kl_step_pair", "sample", "affine_rescale",
+    "kl_step_pair", "sample", "affine_rescale",
     # oracle
-    "QuadratureResult", "integrate_box", "numeric_entropy", "numeric_kl",
+    "QuadratureResult", "integrate_box", "numeric_entropy",
     "quantized_companion", "check_density_gap", "check_sup_bound",
     "check_xlogx_gap", "check_entropy_continuity", "exact_discrete_entropy",
-    "expected_plugin_entropy_enum", "trapezoid_entropy", "kl_true_divergence",
+    "expected_plugin_entropy_enum", "kl_true_divergence",
     # estimators
     "EstimateReport", "DemoReport", "EstimatorFailure", "ExternalEstimator",
     "PinnedEntropyEstimator", "estimate_entropy_certified",

@@ -36,7 +36,6 @@ __all__ = [
     "empirical_bias",
     "total_bound",
     "optimize_M",
-    "discrete_entropy_bounds",
 ]
 
 # Above this, (K+1)! no longer fits a float; switch to log-gamma.
@@ -44,6 +43,9 @@ _FACTORIAL_CUTOFF = 20
 # Above this, M^K overflows a float; use the log-space form of the
 # empirical-bias term.
 _LOG_MK_CUTOFF = 700.0
+# Relative distance from an integer within which min_valid_M settles the
+# threshold's ceiling exactly: 2^9 times the float threshold's rounding unit.
+_THRESHOLD_SLACK = 2.0**-44
 
 
 def alpha_const() -> float:
@@ -87,8 +89,40 @@ def eta(K: int, L: float) -> float:
 
 
 def min_valid_M(K: int, L: float) -> int:
-    """Smallest bin count per axis for which the confidence bound applies."""
-    return max(1, math.ceil(1.0 / (alpha_const() * eta(K, L))))
+    """Smallest bin count per axis for which the confidence bound applies.
+
+    That is the ceiling of the threshold 1/(alpha * eta(K, L)), at least 1.
+    From 1/2 up, the float threshold is within ~70 ulps of the exact one
+    (the most measured was 48, at K = 21), so its ceiling is exact unless it
+    lies within ``_THRESHOLD_SLACK`` (relative) of an integer; there
+    ``_exact_ceiling`` decides.
+    """
+    threshold = 1.0 / (alpha_const() * eta(K, L))
+    if abs(threshold - round(threshold)) <= threshold * _THRESHOLD_SLACK:
+        return max(1, _exact_ceiling(K, L))
+    return max(1, math.ceil(threshold))
+
+
+def _exact_ceiling(K: int, L: float) -> int:
+    """Ceiling of 1/(alpha * eta(K, L)) from a 60-digit ``decimal`` evaluation.
+
+    (K+1)! is formed by K products at 60 digits, a few ms at K = 34000;
+    above about that K the threshold lies in (22, 23) for every float L, so
+    it is never near an integer.  A result within 1e-50 (relative) of an
+    integer rounds up, so the answer is never below the exact ceiling.
+    """
+    import decimal
+
+    K, L = operator.index(K), float(L)  # numpy scalars too
+    with decimal.localcontext(decimal.Context(prec=60, Emax=decimal.MAX_EMAX)):
+        D = decimal.Decimal
+        e = D(1).exp()
+        alpha = ((e * e + 4).sqrt() - e) / (2 * e)
+        factorial = D(1)
+        for i in range(2, K + 2):
+            factorial *= i
+        eta_exact = ((2 * factorial / D(L)).ln() / (K + 1)).exp() / K
+        return math.ceil((1 + D("1e-50")) / (alpha * eta_exact))
 
 
 @dataclass(frozen=True)
@@ -227,16 +261,3 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
             hi = mid
 
     return lo, total_bound(BoundParams(K, L, lo, N, delta))
-
-
-def discrete_entropy_bounds(M_alphabet: int, N: int, delta: float) -> tuple[float, float]:
-    """Bias and deviation bounds for plug-in entropy of a discrete law.
-
-    For the empirical distribution of N i.i.d. draws from an M-letter
-    alphabet: |H - E[H_hat]| <= log(1 + (M-1)/N), and with probability
-    greater than 1 - delta, |H_hat - E[H_hat]| <= sqrt((2/N) log(2/delta)) * log(N).
-    """
-    M_alphabet = as_int("alphabet size", M_alphabet)
-    bias = empirical_bias(1, M_alphabet, N)
-    deviation = statistical_deviation(N, delta)
-    return bias, deviation

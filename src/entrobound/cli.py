@@ -55,7 +55,6 @@ from .estimators import (
     mi_adversary_demo,
     prop1_demo,
 )
-from .histogram import _as_points
 from .oracle import (
     check_density_gap,
     check_entropy_continuity,
@@ -69,7 +68,7 @@ from .oracle import (
 )
 from .rng import generator, split
 
-__all__ = ["run", "main", "ingest", "emit_f64le", "emit_csv"]
+__all__ = ["run", "main", "ingest"]
 
 _DENSITIES = {"tent": tent_density, "uniform": uniform_density}
 
@@ -201,19 +200,6 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
             raise IngestError(f"{path}: no data rows")
         return arr
     raise ValueError(f"unknown format {format!r} (expected csv or f64le)")
-
-
-def emit_f64le(path, samples) -> None:
-    """Write samples as packed little-endian float64 rows (ingest round-trips)."""
-    Path(path).write_bytes(np.ascontiguousarray(_as_points(samples), dtype="<f8").tobytes())
-
-
-def emit_csv(path, samples) -> None:
-    """Write samples as CSV rows with round-trip-safe 17-digit floats."""
-    pts = _as_points(samples)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in pts:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ __all__ = [
     "mi_adversary",
     "DiscreteMiAdversary",
     "discrete_mi_adversary",
-    "collision_probability",
     "kl_step_pair",
     "sample",
     "affine_rescale",
@@ -56,9 +55,8 @@ class DensityModel:
     ``pdf`` maps an (n, K) array of points to an (n,) array of density
     values (zero outside the support).  ``sampler`` maps a numpy Generator
     and a count to an (n, K) array of i.i.d. draws.  ``lipschitz_L`` is an
-    l1-norm Lipschitz constant when one is known, ``analytic_entropy`` the
-    exact differential entropy in nats when available, and ``cdf`` a
-    marginal CDF for one-dimensional models.
+    l1-norm Lipschitz constant when one is known, and ``analytic_entropy``
+    the exact differential entropy in nats when available.
     """
 
     K: int
@@ -67,7 +65,6 @@ class DensityModel:
     sampler: Callable[[np.random.Generator, int], np.ndarray]
     lipschitz_L: float | None = None
     analytic_entropy: float | None = None
-    cdf: Callable[[np.ndarray], np.ndarray] | None = None
     name: str = ""
 
 
@@ -89,11 +86,6 @@ def _tent1_pdf(t: np.ndarray) -> np.ndarray:
     # 4t on [0, 1/2], 4(1-t) on [1/2, 1], zero elsewhere
     inside = (t >= 0.0) & (t <= 1.0)
     return np.where(inside, 4.0 * np.minimum(t, 1.0 - t), 0.0)
-
-
-def _tent1_cdf(t: np.ndarray) -> np.ndarray:
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
 
 
 # Elements per slice of _tent1_ppf: its seven passes run on a slice while it
@@ -139,14 +131,14 @@ def _tent1_ppf(u: np.ndarray) -> np.ndarray:
 
 
 def _iid_cube(
-    K: int, side: float, pdf1, ppf1, cdf1, lipschitz_L: float | None, entropy: float, name: str
+    K: int, side: float, pdf1, ppf1, lipschitz_L: float | None, entropy: float, name: str
 ) -> DensityModel:
     """K i.i.d. coordinates side * T on [0, side]^K, T a law on [0, 1].
 
-    ``pdf1`` is T's density, zero outside [0, 1], ``ppf1`` its inverse CDF
-    written in place over the uniform draws, ``cdf1`` its CDF (used at
-    K = 1).  At side 1 the pdf and the sampler divide, scale and copy
-    nothing: they run exactly the 1-D kernels' numpy calls.
+    ``pdf1`` is T's density, zero outside [0, 1], and ``ppf1`` its inverse
+    CDF written in place over the uniform draws.  At side 1 the pdf and the
+    sampler divide, scale and copy nothing: they run exactly the 1-D
+    kernels' numpy calls.
     """
     unit = side == 1.0
     scale = side ** (-float(K))
@@ -163,10 +155,6 @@ def _iid_cube(
             u *= side
         return u
 
-    def cdf(t):
-        t = np.asarray(t, dtype=np.float64)
-        return cdf1(t if unit else t / side)
-
     return DensityModel(
         K=K,
         support=np.array([[0.0, side]] * K),
@@ -174,7 +162,6 @@ def _iid_cube(
         sampler=sampler,
         lipschitz_L=lipschitz_L,
         analytic_entropy=entropy,
-        cdf=cdf if K == 1 else None,
         name=name,
     )
 
@@ -195,7 +182,7 @@ def tent_density(K: int) -> DensityModel:
             f"dimension K = {K} is too large: L = 2^(K+1) overflows float64"
         ) from None
     return _iid_cube(
-        K, 1.0, _tent1_pdf, _tent1_ppf, _tent1_cdf, lipschitz, K * (0.5 - math.log(2.0)), "tent",
+        K, 1.0, _tent1_pdf, _tent1_ppf, lipschitz, K * (0.5 - math.log(2.0)), "tent",
     )
 
 
@@ -204,7 +191,7 @@ def uniform_density(K: int) -> DensityModel:
     K = as_int("dimension K", K)
     return _iid_cube(
         K, 1.0, lambda t: np.where((t >= 0.0) & (t <= 1.0), 1.0, 0.0), lambda u: u,
-        lambda t: np.clip(t, 0.0, 1.0), None, 0.0, "uniform",
+        None, 0.0, "uniform",
     )
 
 
@@ -233,9 +220,7 @@ def _scaled_tent(K: int, s: float, entropy: float) -> DensityModel:
 
     log_lipschitz = (K + 1) * (math.log(2.0) - math.log(s))
     lipschitz = math.exp(log_lipschitz) if log_lipschitz <= 700.0 else None
-    return _iid_cube(
-        K, s, _tent1_pdf, _tent1_ppf, _tent1_cdf, lipschitz, entropy, f"tent-scaled-{s:g}"
-    )
+    return _iid_cube(K, s, _tent1_pdf, _tent1_ppf, lipschitz, entropy, f"tent-scaled-{s:g}")
 
 
 def low_entropy_alt(K: int, target_h: float) -> DensityModel:
@@ -353,14 +338,6 @@ def prop1_mixture(spec: ContaminationSpec) -> DensityModel:
         if math.isfinite(candidate):
             lipschitz = candidate
 
-    cdf = None
-    if K == 1 and base.cdf is not None and alt.cdf is not None:
-        def cdf(t):
-            t = np.asarray(t, dtype=np.float64)
-            neg_part = eps * (1.0 - alt.cdf(-t))
-            pos_part = eps + (1.0 - eps) * base.cdf(t)
-            return np.where(t < 0.0, neg_part, pos_part)
-
     return DensityModel(
         K=K,
         support=support,
@@ -370,7 +347,6 @@ def prop1_mixture(spec: ContaminationSpec) -> DensityModel:
         analytic_entropy=disjoint_mixture_entropy(
             base.analytic_entropy, alt.analytic_entropy, eps
         ),
-        cdf=cdf,
         name="contamination-mixture",
     )
 
@@ -444,26 +420,6 @@ class DiscreteMiAdversary:
         z = np.minimum(np.floor(self.M_bins * x).astype(np.int64), self.M_bins - 1)
         return x, self.codebook[z]
 
-    def collision_probability(self, N: int) -> float:
-        """Exact probability that two of N samples share a bin."""
-        return collision_probability(self.M_bins, N)
-
-    def collision_upper_bound(self, N: int) -> float:
-        """The bound 1 - ((M - N + 1) / M)^N on the collision probability."""
-        if N > self.M_bins:
-            return 1.0
-        return -math.expm1(N * math.log((self.M_bins - N + 1) / self.M_bins))
-
-
-def collision_probability(M_bins: int, N: int) -> float:
-    """Probability 1 - M!/(M^N (M-N)!) that N uniform bin draws collide."""
-    M_bins = as_int("M_bins", M_bins)
-    N = as_int("N", N)
-    if N > M_bins:
-        return 1.0
-    i = np.arange(N, dtype=np.float64)
-    return float(-math.expm1(np.sum(np.log1p(-i / M_bins))))
-
 
 def discrete_mi_adversary(M_bins: int, K_alphabet: int, seed: int) -> DiscreteMiAdversary:
     """Random-codebook adversary: v ~ U({1..K}^M) drawn from the seed."""
@@ -495,10 +451,6 @@ def _step_density(pos_mass: float, name: str) -> DensityModel:
         out[(pts >= 0.0) & (pts < 1.0)] = pos_mass
         return out
 
-    def cdf(t):
-        t = np.clip(np.asarray(t, dtype=np.float64), -1.0, 1.0)
-        return np.where(t < 0.0, neg_mass * (t + 1.0), neg_mass + pos_mass * t)
-
     def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
         u = rng.random(n)
         neg = u < neg_mass
@@ -517,7 +469,6 @@ def _step_density(pos_mass: float, name: str) -> DensityModel:
         sampler=sampler,
         lipschitz_L=None,
         analytic_entropy=entropy,
-        cdf=cdf,
         name=name,
     )
 

@@ -485,7 +485,8 @@ class _PinnedMiEstimator:
 
     Each call re-optimizes its three bin counts for the rows it gets, so it
     is not frozen for a fixed N the way PinnedEntropyEstimator is.  It plans
-    per call until ROADMAP item 9: the bench's demos trace times that call.
+    per call for as long as the bench's demos trace requires the
+    ``estimate_mi_certified`` calls that it times.
     """
 
     assumed_L = 1.0

@@ -22,7 +22,7 @@ The kernel scales each coordinate column into the float buffer, checks the
 unit cube there and takes one certified floor of x*M into the int64
 buffer, which is the bin index except within a few ulps of a bin edge;
 only a block with a coordinate there goes through the exact edge fix-up
-(see ``_bin_indices``).
+(see ``_quantize_block``).
 
 ``build_histogram`` counts a small grid (M^K <= ``_BLOCK_ROWS``) block by
 block into one dense tally, so it forms no N-row array at all.  Larger
@@ -35,7 +35,7 @@ these read the key layout.
 
 A histogram is two arrays in row-major bin order: ``keys``, its occupied
 bins (at most N), and ``counts``, their counts.  The plug-in estimate reads
-only ``counts``, and the bin indices are decoded from the keys on request.
+only ``counts``.
 Histograms are immutable once built and safe to share across threads;
 parallelism lives a level up, on whole estimates (see ``estimators``).
 """
@@ -52,7 +52,6 @@ from .errors import OutOfSupportError
 
 __all__ = [
     "SparseHistogram",
-    "quantize_index",
     "build_histogram",
     "plugin_entropy",
     "estimate_differential_entropy",
@@ -71,7 +70,7 @@ _workspace = threading.local()
 # Largest bin count per axis.  Up to 2^53 the edges i/M round to distinct
 # float64 values and idx + 1 and M - 1 are exact, so every bin is reachable
 # and the edge fix-up in _fix_edges takes exact integer steps.  From 2^50 on
-# _bin_indices flags every coordinate as near an edge.
+# _quantize_block flags every coordinate as near an edge.
 _MAX_BINS = 2**53
 
 @dataclass(frozen=True, eq=False)
@@ -81,9 +80,8 @@ class SparseHistogram:
     ``keys`` holds the occupied bins in row-major order: the (n_occ,) int64
     row-major flat keys, or, when M^K >= 2^62 would overflow them, the
     (n_occ, K) int64 bin index rows.  ``counts`` is the (n_occ,) int64 array
-    of their counts, so ``counts[i]`` is the count of ``bins[i]``; both
+    of their counts, so ``counts[i]`` is the count of ``keys[i]``; both
     arrays are read-only, and the plug-in estimate reads only ``counts``.
-    ``bins`` decodes ``keys`` into the (n_occ, K) index rows on each access.
     """
 
     K: int
@@ -96,11 +94,6 @@ class SparseHistogram:
         self.keys.flags.writeable = False
         self.counts.flags.writeable = False
 
-    @property
-    def bins(self) -> np.ndarray:
-        """The (n_occ, K) int64 occupied bin indices in row-major order, read-only."""
-        return _index_rows(self.keys, self.M, self.K)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseHistogram):
             return NotImplemented
@@ -109,15 +102,6 @@ class SparseHistogram:
             and np.array_equal(self.keys, other.keys)
             and np.array_equal(self.counts, other.counts)
         )
-
-
-def _index_rows(keys: np.ndarray, M: int, K: int) -> np.ndarray:
-    """The read-only (n, K) bin index rows of row-major keys; index rows pass through."""
-    if keys.ndim == 2:
-        return keys
-    rows = np.stack(np.unravel_index(keys, (M,) * K), axis=1)
-    rows.flags.writeable = False
-    return rows
 
 
 def _as_points(samples) -> np.ndarray:
@@ -143,24 +127,6 @@ def _check_unit_cube(arr: np.ndarray, first: int = 0) -> None:
         )
 
 
-def quantize_index(x, M: int) -> tuple[int, ...]:
-    """Bin index of a single point: coordinate k maps to min(floor(M*x_k), M-1).
-
-    Exactly: x_k goes to the largest i in [0, M-1] whose edge, the correctly
-    rounded value of i/M, is <= x_k.  So the measure-zero boundary x_k = 1
-    falls into the top bin and the bins cover the closed cube, and a bin's
-    lower corner always maps back to that bin even when x*M itself rounds
-    across the edge.  Every sample that ``build_histogram`` or
-    ``discrete_mi_plugin`` bins goes by the same rule, through ``_bin_keys``
-    and ``_bin_indices``.
-    """
-    M = _bin_count(M)
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    as_int("dimension K", arr.size)
-    _check_unit_cube(arr.reshape(1, -1))
-    return tuple(int(i) for i in _bin_indices(arr, M))
-
-
 def _bin_count(M) -> int:
     """M as an int in [1, 2^53], the bin counts whose edges float64 resolves."""
     M = as_int("M", M)
@@ -170,47 +136,6 @@ def _bin_count(M) -> int:
             f"the bin edges, got {M}"
         )
     return M
-
-
-def _bin_indices(x: np.ndarray, M: int) -> np.ndarray:
-    """The int64 bin index of every coordinate of x in [0, 1], with x's shape.
-
-    The rule: x goes to the largest i in [0, M - 1] with fl(i/M) <= x, where
-    fl(i/M) is the correctly rounded edge.  M must pass ``_bin_count``.  The
-    coordinates are quantized as one column, by the same block kernel,
-    ``_quantize_block``, that serves ``_bin_keys`` and ``build_histogram``;
-    a coordinate outside [0, 1] raises ``OutOfSupportError``.
-
-    Cube check.  The kernel checks f = fl(x*M), not x: for an integer
-    1 <= M <= 2^53, x is in [0, 1] exactly when f is in [0, M].  If
-    0 <= x <= 1 then 0 <= x*M <= M, and rounding is monotone and keeps 0
-    and M.  If x < 0 then x*M <= x < 0, so f <= x < 0.  If x > 1 then
-    x >= 1 + 2^-52 and x*M >= M + M*2^-52, which is at least the float
-    after M, so f > M.  NaN fails both compares.
-
-    Certified floor.  Let i = floor(f) and r = f - i, which is exact
-    (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
-    delta <= r <= 1 - delta keep i; the others go through the exact edge
-    fix-up of ``_fix_edges``.  Proof that an unflagged i is what the fix-up
-    would return: |f - xM| <= uM since x <= 1, so
-    i/M + 3u <= x <= (i+1)/M - 3u.  As |fl(j/M) - j/M| <= u for j <= M,
-    fl(i/M) < x < fl((i+1)/M), and fl is monotone, so i is the largest
-    index whose edge is <= x; and i <= M - 1 because i/M < x <= 1.  So the
-    clamp and both +-1 steps leave i unchanged.  The compares on r are
-    exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
-    delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
-    Since i <= M <= 2^53, the floor is exact in int64 too.
-
-    The fix-up runs on a whole block when any of its elements is flagged:
-    it leaves unflagged elements as they are, and random data below
-    M = 2^50 is almost never flagged at all.
-    """
-    column = x.reshape(-1, 1)
-    out = np.empty(column.shape[0], dtype=np.int64)
-    for start in range(0, column.shape[0], _BLOCK_ROWS):
-        idx = _quantize_block(column[start:start + _BLOCK_ROWS], start, M)
-        out[start:start + _BLOCK_ROWS] = idx[0]
-    return out.reshape(x.shape)
 
 
 def _block_buffers(k: int, b: int) -> tuple[np.ndarray, np.ndarray]:
@@ -233,7 +158,38 @@ def _quantize_block(block: np.ndarray, start: int, M: int) -> np.ndarray:
 
     ``start`` is the index of the block's first row, for the error message.
     The view holds only until this thread's next call, so the caller copies
-    or folds it first.  See ``_bin_indices`` for the rule and its proofs.
+    or folds it first.  M must pass ``_bin_count``.
+
+    The rule: coordinate x goes to the largest i in [0, M - 1] with
+    fl(i/M) <= x, where fl(i/M) is the correctly rounded edge.  So the
+    measure-zero boundary x = 1 falls into the top bin and the bins cover
+    the closed cube, and a bin's lower corner always maps back to that bin
+    even when x*M itself rounds across the edge.  A row outside [0, 1]^K
+    raises ``OutOfSupportError`` naming the first one.
+
+    Cube check.  The kernel checks f = fl(x*M), not x: for an integer
+    1 <= M <= 2^53, x is in [0, 1] exactly when f is in [0, M].  If
+    0 <= x <= 1 then 0 <= x*M <= M, and rounding is monotone and keeps 0
+    and M.  If x < 0 then x*M <= x < 0, so f <= x < 0.  If x > 1 then
+    x >= 1 + 2^-52 and x*M >= M + M*2^-52, which is at least the float
+    after M, so f > M.  NaN fails both compares.
+
+    Certified floor.  Let i = floor(f) and r = f - i, which is exact
+    (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
+    delta <= r <= 1 - delta keep i; the others go through the exact edge
+    fix-up of ``_fix_edges``.  Proof that an unflagged i is what the fix-up
+    would return: |f - xM| <= uM since x <= 1, so
+    i/M + 3u <= x <= (i+1)/M - 3u.  As |fl(j/M) - j/M| <= u for j <= M,
+    fl(i/M) < x < fl((i+1)/M), and fl is monotone, so i is the largest
+    index whose edge is <= x; and i <= M - 1 because i/M < x <= 1.  So the
+    clamp and both +-1 steps leave i unchanged.  The compares on r are
+    exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
+    delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
+    Since i <= M <= 2^53, the floor is exact in int64 too.
+
+    The fix-up runs on the whole block when any of its elements is flagged:
+    it leaves unflagged elements as they are, and random data below
+    M = 2^50 is almost never flagged at all.
     """
     b, k = block.shape
     f, idx = _block_buffers(k, b)

@@ -37,7 +37,6 @@ __all__ = [
     "QuadratureResult",
     "integrate_box",
     "numeric_entropy",
-    "numeric_kl",
     "quantized_companion",
     "check_density_gap",
     "SupBoundCheck",
@@ -47,8 +46,6 @@ __all__ = [
     "check_entropy_continuity",
     "exact_discrete_entropy",
     "expected_plugin_entropy_enum",
-    "trapezoid_model",
-    "trapezoid_entropy",
     "kl_true_divergence",
 ]
 
@@ -171,28 +168,6 @@ def _neg_xlogx(v: np.ndarray) -> np.ndarray:
 def numeric_entropy(model: DensityModel, tol: float = 1e-6) -> QuadratureResult:
     """Differential entropy -integral(p log p) over the model's support box."""
     return integrate_box(lambda pts: _neg_xlogx(model.pdf(pts)), model.support, tol)
-
-
-def numeric_kl(p: DensityModel, q: DensityModel, tol: float = 1e-10) -> QuadratureResult:
-    """Relative entropy integral(p log(p/q)) over the union of the supports."""
-    box = np.column_stack(
-        [
-            np.minimum(p.support[:, 0], q.support[:, 0]),
-            np.maximum(p.support[:, 1], q.support[:, 1]),
-        ]
-    )
-
-    def integrand(pts):
-        vp = p.pdf(pts)
-        vq = q.pdf(pts)
-        mask = vp > 0.0
-        if np.any(mask & (vq <= 0.0)):
-            raise ValueError("relative entropy undefined: p has mass where q vanishes")
-        out = np.zeros_like(vp)
-        out[mask] = vp[mask] * (np.log(vp[mask]) - np.log(vq[mask]))
-        return out
-
-    return integrate_box(integrand, box, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -418,42 +393,8 @@ def expected_plugin_entropy_enum(pmf, N: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Trapezoid entropy and the step-pair relative entropy
+# Step-pair relative entropy
 # ---------------------------------------------------------------------------
-
-
-def trapezoid_model(c: float) -> DensityModel:
-    """Density of u + w for u ~ U[0,1], w ~ U[0,c]: a trapezoid on [0, 1+c]."""
-    if not (0.0 < c <= 1.0):
-        raise ValueError(f"c must lie in (0, 1], got {c!r}")
-
-    def pdf(x):
-        pts = _points(x, 1)[:, 0]
-        up = (pts >= 0.0) & (pts < c)
-        flat = (pts >= c) & (pts < 1.0)
-        down = (pts >= 1.0) & (pts <= 1.0 + c)
-        out = np.zeros_like(pts)
-        out[up] = pts[up] / c
-        out[flat] = 1.0
-        out[down] = (1.0 + c - pts[down]) / c
-        return out
-
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        return (rng.random(n) + c * rng.random(n)).reshape(-1, 1)
-
-    return DensityModel(
-        K=1,
-        support=np.array([[0.0, 1.0 + c]]),
-        pdf=pdf,
-        sampler=sampler,
-        analytic_entropy=None,
-        name=f"trapezoid-{c:g}",
-    )
-
-
-def trapezoid_entropy(c: float, tol: float = 1e-9) -> float:
-    """Entropy of the U[0,1] * U[0,c] convolution, by quadrature (exactly c/2)."""
-    return numeric_entropy(trapezoid_model(c), tol).value
 
 
 def kl_true_divergence(a: float, k: float) -> float:

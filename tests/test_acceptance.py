@@ -25,7 +25,6 @@ from entrobound import (
     kl_true_divergence,
     mi_adversary_demo,
     numeric_entropy,
-    numeric_kl,
     optimize_M,
     prop1_demo,
     quantized_companion,
@@ -35,6 +34,7 @@ from entrobound import (
 )
 from entrobound.cli import main as cli_main
 from entrobound.rng import generator, split
+from reference import numeric_kl
 
 TENT_H1 = 0.5 - math.log(2.0)
 

@@ -4,11 +4,12 @@ Reference values were computed with 50-digit mpmath evaluations of the same
 closed forms, frozen here as literals.
 """
 import dataclasses
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from entrobound import (
@@ -16,7 +17,6 @@ from entrobound import (
     ConfidenceBound,
     ValidityError,
     alpha_const,
-    discrete_entropy_bounds,
     empirical_bias,
     eta,
     min_valid_M,
@@ -26,6 +26,7 @@ from entrobound import (
     total_bound,
 )
 from entrobound import bounds
+from reference import lipschitz_at_threshold, threshold_exact
 
 ALPHA_50DIG = 0.12075380243427643
 
@@ -94,6 +95,58 @@ class TestMinValidM:
     def test_domain_error(self):
         with pytest.raises(ValueError):
             min_valid_M(1, -1.0)
+
+    def test_knife_edge(self):
+        """The exact threshold is 10.0000000000000000967; the float one is below 10."""
+        L = 5.832592320934506
+        assert math.ceil(1.0 / (alpha_const() * eta(1, L))) == 10
+        assert 10 < threshold_exact(1, L) < decimal.Decimal("10.0000000000000001")
+        assert min_valid_M(1, L) == 11 == min_valid_M(np.int64(1), np.float64(L))
+        with pytest.raises(ValidityError, match="minimum bin count 11 "):
+            total_bound(BoundParams(1, L, 10, 1000, 0.1))
+        assert BoundParams(1, L, 11, 1000, 0.1).valid_for_theorem
+
+    @staticmethod
+    def _assert_exact_ceiling(K, L):
+        """min_valid_M is the exact ceiling; from 1/2 up, the float threshold
+        errs by a quarter of the window that sends it to decimal at most."""
+        exact = threshold_exact(K, L)
+        if math.ceil(exact) > 2**53:
+            return
+        if exact >= 0.5:
+            threshold = 1.0 / (alpha_const() * eta(K, L))
+            slack = decimal.Decimal(bounds._THRESHOLD_SLACK / 4)
+            assert abs(decimal.Decimal(threshold) - exact) <= exact * slack
+        assert min_valid_M(K, L) == max(1, math.ceil(exact))
+
+    # K on both sides of the factorial cutoff (20 | 21), thresholds of every
+    # bit length up to 2^53, and L a few ulps either side of the one whose
+    # exact threshold is that integer.
+    @given(K=st.one_of(st.sampled_from([1, 2, 3, 20, 21, 22]), st.integers(1, 200)),
+           n=st.integers(0, 53).flatmap(lambda b: st.integers(2**b, 2**(b + 1))),
+           ulps=st.integers(-64, 64))
+    def test_exact_ceiling_at_integer_thresholds(self, K, n, ulps):
+        L = lipschitz_at_threshold(K, n)
+        assume(0.0 < L < math.inf)
+        direction = math.inf if ulps > 0 else 0.0
+        for _ in range(abs(ulps)):
+            L = math.nextafter(L, direction)
+        assume(0.0 < L < math.inf)
+        self._assert_exact_ceiling(K, L)
+
+    @given(K=st.one_of(st.sampled_from([1, 20, 21]), st.integers(1, 300)),
+           L=st.floats(5e-324, 1.7976931348623157e308))
+    def test_exact_ceiling_on_any_lipschitz_constant(self, K, L):
+        self._assert_exact_ceiling(K, L)
+
+    @given(K=st.integers(1, 20), L=st.floats(5e-324, 2.2250738585072014e-308))
+    def test_subnormal_lipschitz_constant_valid_at_one_bin(self, K, L):
+        """2 * (K+1)! / L overflows, so eta takes its log form; M = 1 is valid."""
+        assert 2.0 * math.factorial(K + 1) / L == math.inf
+        assert threshold_exact(K, L) < 1
+        assert min_valid_M(K, L) == 1
+        bound = total_bound(BoundParams(K, L, 1, 1000, 0.1))
+        assert bound.emp_bias == 0.0 and math.isfinite(bound.total)
 
 
 class TestQuantizationBias:
@@ -194,6 +247,26 @@ class TestStatisticalDeviation:
     def test_domain_errors(self, N, delta):
         with pytest.raises(ValueError):
             statistical_deviation(N, delta)
+
+    def test_constant_bounds_one_sample_move(self):
+        """McDiarmid's per-sample difference c bounds every one-sample change.
+
+        The term is c * sqrt(N * log(2/delta) / 2), so c is read back from it.
+        Moving one sample from a bin of count a to one of count b (a + b <= N)
+        changes the plug-in entropy by |f(a-1) - f(a) + f(b+1) - f(b)| / N with
+        f(x) = x log x; every such pair is checked for N <= 400.  At N = 2 the
+        change log 2 equals c, so any other constant fails there.
+        """
+        f = np.array([0.0] + [x * math.log(x) for x in range(1, 401)])
+        for N in range(2, 401):
+            c = statistical_deviation(N, 0.1) / math.sqrt(N * math.log(2 / 0.1) / 2)
+            a = np.arange(1, N + 1)[:, None]
+            b = np.arange(N)[None, :]
+            change = np.abs(f[a - 1] - f[a] + f[b + 1] - f[b]) / N
+            worst = change[a + b <= N].max()
+            assert worst <= c * (1 + 1e-12), N
+            if N == 2:
+                assert worst >= c * (1 - 1e-12)
 
 
 class TestEmpiricalBias:
@@ -475,23 +548,25 @@ class TestVanishingBound:
 
 
 class TestDiscreteEntropyBounds:
+    """Plug-in entropy of N draws from an M-letter alphabet: the bias is at most
+    empirical_bias(1, M, N) and the deviation statistical_deviation(N, delta)."""
+
     def test_frozen_bias(self):
-        bias, _ = discrete_entropy_bounds(3, 5, 0.5)
+        bias = empirical_bias(1, 3, 5)
         assert bias == pytest.approx(math.log(1.4), abs=1e-12)
         assert bias == pytest.approx(0.33647, abs=1e-5)
 
     def test_single_letter_bias_zero(self):
         for N in (1, 10, 1000):
-            bias, _ = discrete_entropy_bounds(1, N, 0.3)
-            assert bias == 0.0
+            assert empirical_bias(1, 1, N) == 0.0
 
     def test_deviation_at_delta_one(self):
         # sqrt((2/5) ln 2) * ln 5, frozen from a 50-digit evaluation
-        _, dev = discrete_entropy_bounds(3, 5, 1.0)
+        dev = statistical_deviation(5, 1.0)
         assert dev == pytest.approx(0.8474555996437595, abs=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            discrete_entropy_bounds(0, 5, 0.5)
+            empirical_bias(1, 0, 5)
         with pytest.raises(ValueError):
-            discrete_entropy_bounds(3, 5, 1.5)
+            statistical_deviation(5, 1.5)

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 from entrobound import cli, oracle
 from entrobound.densities import tent_density
-from entrobound.cli import emit_csv, emit_f64le, ingest, main
+from entrobound.cli import ingest, main
 from entrobound.errors import IngestError
+from reference import emit_csv, emit_f64le
 
 
 def run_cli(args, capsys):

@@ -14,7 +14,6 @@ from entrobound import (
     OutOfSupportError,
     affine_rescale,
     binary_entropy,
-    collision_probability,
     discrete_mi_adversary,
     disjoint_mixture_entropy,
     estimate_entropy_certified,
@@ -26,11 +25,11 @@ from entrobound import (
     prop1_mixture,
     sample,
     tent_density,
-    trapezoid_entropy,
     uniform_density,
 )
 from entrobound.densities import _PPF_SLICE, DiscreteMiAdversary, _tent1_ppf
 from entrobound.rng import generator, split
+from reference import collision_probability, collision_upper_bound, trapezoid_entropy
 
 TENT_H1 = 0.5 - math.log(2.0)  # -0.19314718055994531
 
@@ -59,6 +58,50 @@ def _models_with_pdfs():
         prop1_mixture(ContaminationSpec(tent1, alt, 0.3, a=abs(-1.0 - TENT_H1))),
         p_step,
         q_step,
+    ]
+
+
+# CDFs of the one-dimensional models, for the KS test of their samplers.
+def _ref_tent1_cdf(t):
+    t = np.clip(t, 0.0, 1.0)
+    return np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
+
+
+def _ref_cdf(kind, s):
+    if kind == "uniform":
+        return lambda t: np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
+    return lambda t: _ref_tent1_cdf(np.asarray(t, dtype=np.float64) / s)
+
+
+def _ref_mixture_cdf(base_cdf, alt_cdf, eps):
+    """CDF of the 1-D contamination mixture: base w.p. 1 - eps, else -alt."""
+    def cdf(t):
+        t = np.asarray(t, dtype=np.float64)
+        return np.where(t < 0.0, eps * (1.0 - alt_cdf(-t)), eps + (1.0 - eps) * base_cdf(t))
+    return cdf
+
+
+def _ref_step_cdf(pos_mass):
+    """CDF of the step density with mass pos_mass on [0, 1) and the rest on [-1, 0)."""
+    neg_mass = 1.0 - pos_mass
+
+    def cdf(t):
+        t = np.clip(np.asarray(t, dtype=np.float64), -1.0, 1.0)
+        return np.where(t < 0.0, neg_mass * (t + 1.0), neg_mass + pos_mass * t)
+    return cdf
+
+
+def _models_with_cdfs():
+    """The one-dimensional models of _models_with_pdfs, each with its CDF."""
+    tent1, _, uniform1, alt, mixture, p_step, q_step = _models_with_pdfs()
+    alt_cdf = _ref_cdf("scaled", alt.support[0, 1])
+    return [
+        (tent1, _ref_cdf("tent", 1.0)),
+        (uniform1, _ref_cdf("uniform", 1.0)),
+        (alt, alt_cdf),
+        (mixture, _ref_mixture_cdf(_ref_cdf("tent", 1.0), alt_cdf, 0.3)),
+        (p_step, _ref_step_cdf(math.exp(-2.0))),
+        (q_step, _ref_step_cdf(math.exp(-2.0 - math.exp(2.0)))),
     ]
 
 
@@ -117,14 +160,13 @@ class TestModelInvariants:
         assert np.all(num[keep] <= model.lipschitz_L * (1 + 1e-9) * den[keep])
 
     @pytest.mark.parametrize(
-        "model",
-        [m for m in _models_with_pdfs() if m.K == 1 and m.cdf is not None],
-        ids=lambda m: m.name,
+        "model, cdf",
+        [pytest.param(m, cdf, id=m.name) for m, cdf in _models_with_cdfs()],
     )
-    def test_sampler_ks(self, model):
-        """KS statistic of 1e5 draws against the model CDF, fixed seed."""
+    def test_sampler_ks(self, model, cdf):
+        """KS statistic of 1e5 draws against the model's CDF, fixed seed."""
         draws = sample(model, 10**5, 31415)[:, 0]
-        result = stats.kstest(draws, lambda t: model.cdf(t))
+        result = stats.kstest(draws, cdf)
         assert result.pvalue > 0.001
 
 
@@ -236,17 +278,11 @@ class TestLowEntropyAlt:
             low_entropy_alt(1, -math.inf)
 
 
-# The pdfs and K = 1 CDFs as tent_density, uniform_density and the compressed
-# tent each wrote them before one builder made all three; references for
-# TestIidCube.
+# The pdfs as tent_density, uniform_density and the compressed tent each
+# wrote them before one builder made all three; references for TestIidCube.
 def _ref_tent1_pdf(t):
     inside = (t >= 0.0) & (t <= 1.0)
     return np.where(inside, 4.0 * np.minimum(t, 1.0 - t), 0.0)
-
-
-def _ref_tent1_cdf(t):
-    t = np.clip(t, 0.0, 1.0)
-    return np.where(t <= 0.5, 2.0 * t * t, 1.0 - 2.0 * (1.0 - t) ** 2)
 
 
 def _ref_tent_pdf(pts, s, K):
@@ -264,12 +300,6 @@ def _ref_scaled_tent_pdf(pts, s, K):
     if inside.any():
         out[inside] = np.prod(_ref_tent1_pdf(pts[inside] / s), axis=1) * s ** (-float(K))
     return out
-
-
-def _ref_cdf(kind, s):
-    if kind == "uniform":
-        return lambda t: np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)
-    return lambda t: _ref_tent1_cdf(np.asarray(t, dtype=np.float64) / s)
 
 
 def _ref_attributes(kind, K, h):
@@ -324,14 +354,6 @@ class TestIidCube:
             assert np.array_equal(got, expected)
         else:
             assert np.array_equal(got.view(np.int64), expected.view(np.int64))
-
-        if K == 1:
-            t = pts[:, 0]
-            got_cdf, expected_cdf = model.cdf(t), _ref_cdf(kind, s)(t)
-            assert np.array_equal(got_cdf.view(np.int64), expected_cdf.view(np.int64))
-            assert np.array_equal(model.cdf(list(t[:5])), expected_cdf[:5], equal_nan=True)
-        else:
-            assert model.cdf is None
 
 
 class TestContaminationMixture:
@@ -460,7 +482,8 @@ class TestDiscreteMiAdversary:
     def test_collision_bound_dominates_exact(self):
         adv = discrete_mi_adversary(10**6, 2, seed=0)
         for N in (10, 100, 1000):
-            assert adv.collision_probability(N) <= adv.collision_upper_bound(N) + 1e-12
+            bound = collision_upper_bound(adv.M_bins, N)
+            assert collision_probability(adv.M_bins, N) <= bound + 1e-12
         assert collision_probability(5, 6) == 1.0
 
     def test_alphabet_guard(self):

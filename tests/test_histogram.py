@@ -19,12 +19,12 @@ from entrobound import (
     estimate_differential_entropy,
     exact_discrete_entropy,
     plugin_entropy,
-    quantize_index,
 )
 from entrobound import estimate_entropy_certified, estimate_mi_certified, estimators, histogram
 from entrobound.estimators import _default_threads, _map_ordered
-from entrobound.histogram import _bin_indices, _count_entropy
+from entrobound.histogram import _count_entropy
 from entrobound.rng import generator
+from reference import quantize_index
 
 
 class TestQuantizeIndex:
@@ -79,9 +79,16 @@ def test_zero_columns_rejected(call):
         call()
 
 
+def _bins(hist):
+    """The (n_occ, K) occupied bin index rows, decoded from the keys."""
+    if hist.keys.ndim == 2:
+        return hist.keys
+    return np.stack(np.unravel_index(hist.keys, (hist.M,) * hist.K), axis=1)
+
+
 def _count_dict(hist):
     """The histogram as a bin-index tuple -> count dict, in row-major bin order."""
-    return dict(zip(map(tuple, hist.bins.tolist()), hist.counts.tolist()))
+    return dict(zip(map(tuple, _bins(hist).tolist()), hist.counts.tolist()))
 
 
 class TestBuildHistogram:
@@ -145,7 +152,7 @@ class TestBuildHistogram:
 
     def test_arrays_read_only(self):
         hist = build_histogram(generator(10).random((50, 2)), 4)
-        for arr in (hist.bins, hist.counts):
+        for arr in (hist.keys, hist.counts):
             with pytest.raises(ValueError):
                 arr[0] = 0
         with pytest.raises(FrozenInstanceError):
@@ -157,7 +164,7 @@ class TestBuildHistogram:
 
 
 def _hist_bits(hist):
-    return (hist.K, hist.M, hist.N, hist.bins.tobytes(), hist.counts.tobytes(),
+    return (hist.K, hist.M, hist.N, hist.keys.tobytes(), hist.counts.tobytes(),
             plugin_entropy(hist).hex())
 
 
@@ -269,6 +276,11 @@ def _reference_counts(points, M):
     return counts
 
 
+def _kernel_indices(x, M):
+    """The kernel's bin index of every coordinate of x, each binned as a one-column row."""
+    return histogram._bin_keys(x.reshape(-1, 1), M).reshape(x.shape)
+
+
 def _reference_bin_indices(points, M):
     """The quantization rule with its edge fix-ups in integer arithmetic."""
     idx = np.minimum(np.floor(points * M), M - 1).astype(np.int64)
@@ -296,11 +308,12 @@ def test_bin_indices_match_integer_reference(M):
     if M > 2**53:
         _assert_bin_count_rejected(points, M)
         return
-    assert np.array_equal(_bin_indices(points, M), _reference_bin_indices(points, M))
+    assert np.array_equal(_kernel_indices(points, M), _reference_bin_indices(points, M))
 
 
 # (K, M, N): bin edges at K = 1..4 including M = 1; M^K at and just above 4N
-# (dense and sorted counting); N across the quantization block of 2^16 rows;
+# (dense and sorted counting); N = 2^16 - 1 .. 2^16 + 1 across the boundary of
+# the second quantization block of 2^15 rows;
 # K * log2(M) >= 62, where bins are counted as index rows; M above 2^53 is
 # rejected.
 _DIFFERENTIAL_CASES = (
@@ -354,8 +367,8 @@ def test_edges_map_to_their_bins(pad, M, seed):
     rng = generator(seed)
     i = np.concatenate([[0, M - 1], rng.integers(0, M, size=64)])
     for x in (i / M, np.nextafter((i + 1) / M, -np.inf)):
-        assert np.array_equal(_bin_indices(_padded(x, rng, pad), M)[:i.size], i)
-    assert _bin_indices(_padded(np.array([1.0]), rng, pad), M)[0] == M - 1
+        assert np.array_equal(_kernel_indices(_padded(x, rng, pad), M)[:i.size], i)
+    assert _kernel_indices(_padded(np.array([1.0]), rng, pad), M)[0] == M - 1
 
 
 @pytest.mark.parametrize("pad", [0, 16])
@@ -363,7 +376,7 @@ def test_edges_map_to_their_bins(pad, M, seed):
        x=hnp.arrays(np.float64, st.integers(1, 64), elements=st.floats(0.0, 1.0)))
 def test_bin_indices_match_reference_on_any_floats(pad, M, x):
     x = _padded(x, generator(M), pad)
-    assert np.array_equal(_bin_indices(x, M), _reference_bin_indices(x, M))
+    assert np.array_equal(_kernel_indices(x, M), _reference_bin_indices(x, M))
 
 
 @pytest.mark.parametrize("pad", [0, 16])
@@ -378,7 +391,7 @@ def test_bin_indices_match_reference_near_edges(pad, M, seed):
         x = np.where(steps > s, np.nextafter(x, 2.0), x)
         x = np.where(steps < -s, np.nextafter(x, -1.0), x)
     x = _padded(np.clip(x, 0.0, 1.0), rng, pad)
-    assert np.array_equal(_bin_indices(x, M), _reference_bin_indices(x, M))
+    assert np.array_equal(_kernel_indices(x, M), _reference_bin_indices(x, M))
 
 
 def _assert_matches_references(points, M):
@@ -386,8 +399,8 @@ def _assert_matches_references(points, M):
     hist = build_histogram(points, M)
     copy = build_histogram(np.array(points, order="C"), M)
     bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
-    assert np.array_equal(hist.bins, copy.bins) and np.array_equal(hist.counts, copy.counts)
-    assert np.array_equal(hist.bins, bins) and np.array_equal(hist.counts, counts)
+    assert hist == copy
+    assert np.array_equal(_bins(hist), bins) and np.array_equal(hist.counts, counts)
 
 
 _LAYOUTS = {
@@ -459,7 +472,7 @@ class TestFlaggedColumns:
         points = np.zeros((2**16 + 1, 2))
         hist = build_histogram(points, 72)
         assert fixed == _block_sizes(2**16 + 1, 2)
-        assert hist.bins.tolist() == [[0, 0]] and hist.counts.tolist() == [2**16 + 1]
+        assert _bins(hist).tolist() == [[0, 0]] and hist.counts.tolist() == [2**16 + 1]
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "reversed rows"])
@@ -516,7 +529,7 @@ def _cube_message(row, values):
 
 
 class TestOutOfCube:
-    """Rows of 2^16 + 1 points: the bad rows sit in the second block."""
+    """Rows of 2^16 + 1 points: the bad rows sit in the third block of 2^15 rows."""
 
     @pytest.mark.parametrize("value, shown", [
         (float("nan"), "nan"),
@@ -579,7 +592,7 @@ def _kernel_points(M, K, rng):
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("M", _KERNEL_BIN_COUNTS)
 def test_block_kernel_matches_integer_reference(M, K):
-    """_bin_indices, _bin_keys and the small-grid counts in every memory layout."""
+    """The kernel on one column, _bin_keys and the small-grid counts in every memory layout."""
     points, wide = _kernel_points(M, K, generator(4500 + K))
     layouts = {
         "C order": points,
@@ -589,7 +602,7 @@ def test_block_kernel_matches_integer_reference(M, K):
     }
     for layout, pts in layouts.items():
         expected = _reference_bin_indices(pts, M)
-        assert np.array_equal(_bin_indices(pts, M), expected), layout
+        assert np.array_equal(_kernel_indices(pts, M), expected), layout
         if M**K < 2**62:
             expected = np.ravel_multi_index(tuple(expected.T), (M,) * K)
         keys = histogram._bin_keys(pts, M)
@@ -648,7 +661,7 @@ def test_counting_paths_agree_at_the_block_size(K, M, N, monkeypatch):
     assert build_histogram(points, M) == dense
     assert bool(calls) == (M**K > _B)
     bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
-    assert np.array_equal(dense.bins, bins) and np.array_equal(dense.counts, counts)
+    assert np.array_equal(_bins(dense), bins) and np.array_equal(dense.counts, counts)
 
 
 def _traced_peak(fn, *args):
@@ -707,8 +720,8 @@ def test_histogram_properties(data, K, M, N):
     coords = st.one_of(st.floats(0.0, 1.0), st.integers(0, M).map(lambda i: i / M))
     points = data.draw(hnp.arrays(np.float64, (N, K), elements=coords))
     hist = build_histogram(points, M)
-    bins = hist.bins
-    assert bins.shape == (hist.counts.size, K) and not bins.flags.writeable
+    bins = _bins(hist)
+    assert bins.shape == (hist.counts.size, K) and not hist.keys.flags.writeable
     rows = [tuple(row) for row in bins.tolist()]
     assert rows == sorted(set(rows))  # unique, in row-major order
     if hist.keys.ndim == 1:  # packed: K * log2(M) < 62
@@ -725,7 +738,6 @@ def test_estimates_never_decode_bins(monkeypatch):
         raise AssertionError("bins decoded")
 
     monkeypatch.setattr(np, "unravel_index", fail)
-    monkeypatch.setattr(histogram, "_index_rows", fail)
     points = generator(14).random((2**16 + 3, 3))
     for M in (4, 50, 2**21):  # dense, sorted and index-row counting
         hist = build_histogram(points, M)
@@ -735,7 +747,7 @@ def test_estimates_never_decode_bins(monkeypatch):
     estimate_mi_certified(points, 1, 4.0, 0.1)
     discrete_mi_plugin(points, points[:, 0] > 0.5, 2**21)
     with pytest.raises(AssertionError, match="bins decoded"):
-        build_histogram(points, 4).bins
+        _bins(build_histogram(points, 4))
 
 
 class TestPluginEntropy:
