@@ -166,7 +166,8 @@ def quantization_bias(K: int, L: float, M: int) -> float:
     """Bias term (L*K / 2M) * log(M * eta(K, L)).
 
     Requires M >= min_valid_M(K, L), which guarantees M * eta >= 1/alpha > 1
-    so the logarithm is positive.
+    so the logarithm is positive.  Where L * K overflows, the prefactor is
+    formed as L / 2M first.
     """
     K = _validate_K_L(K, L)
     M = as_int("M", M)
@@ -176,19 +177,25 @@ def quantization_bias(K: int, L: float, M: int) -> float:
             f"M={M} is below the minimum bin count {threshold} for K={K}, L={L}; "
             "the confidence bound does not apply"
         )
-    return (L * K / (2.0 * M)) * math.log(M * eta(K, L))
+    scale = L * K / (2.0 * M)
+    if scale == math.inf:  # L * K overflows, the quotient does not
+        scale = L / (2.0 * M) * K
+    return scale * math.log(M * eta(K, L))
 
 
 def statistical_deviation(N: int, delta: float) -> float:
     """Deviation term sqrt((2/N) * log(2/delta)) * log(N).
 
     Holds with probability greater than 1 - delta for the plug-in entropy of
-    N samples (bounded-differences concentration); zero at N = 1.
+    N samples (bounded-differences concentration); zero at N = 1.  When
+    2/delta overflows (a subnormal delta), log(2) - log(delta) is used.
     """
     N = as_int("N", N)
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
-    return math.sqrt((2.0 / N) * math.log(2.0 / delta)) * math.log(N)
+    ratio = 2.0 / delta
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
+    return math.sqrt((2.0 / N) * log_ratio) * math.log(N)
 
 
 def empirical_bias(K: int, M: int, N: int) -> float:

@@ -2,16 +2,19 @@
 
 Every command writes a deterministic CSV (17-significant-digit floats, comma
 separated, LF line endings) plus a ``<out>.meta`` sidecar recording the
-command's options, seed, library version, and wall-clock time; only the sidecar
-carries timing, so repeated runs with the same config and seed are
-byte-identical.  Both files are renamed into place together, so a failed write
-changes neither.  Exit status is 0 on success, 2 when the requested
-parameters violate a precondition (e.g. a bin count below the validity
-threshold), and 1 on I/O, data-format or out-of-memory errors.  Errors print one
-machine-parsable line to standard error: ``error: <kind>: <detail>``.  Usage
-errors (an unknown command or option, a missing command, a value of the wrong
-type or none) and numbers beyond float range are exit 2 with one
-``error: invalid:`` line.
+options the command accepts, library version, and wall-clock time; only the
+sidecar carries timing, so repeated runs with the same config are
+byte-identical.  Both files are renamed into place together, so a failed
+write changes neither.  Only the commands that draw take ``--seed``:
+``bound`` and ``optimize-m`` do not.  ``estimate`` and ``mi-estimate`` read
+their sample from ``--input`` or draw it from ``--density``, never both.  A
+demo's ``--estimator`` must name a program.  Exit status is 0 on success,
+2 when the requested parameters violate a precondition (e.g. a bin count
+below the validity threshold), and 1 on I/O, data-format or out-of-memory
+errors.  Errors print one machine-parsable line to standard error:
+``error: <kind>: <detail>``.  Usage errors (an unknown command or option, a
+missing command, a value of the wrong type or none) and numbers beyond float
+range are exit 2 with one ``error: invalid:`` line.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE`` or ``--config=FILE``); each line is read as the flag
@@ -315,9 +318,7 @@ def _certificate(report) -> dict:
 def _cmd_estimate(config: argparse.Namespace):
     _require(config, "l", "delta")
     pts = _entropy_samples(config)
-    report = estimate_entropy_certified(
-        pts, config.l, config.delta, M=config.m, seed=config.seed
-    )
+    report = estimate_entropy_certified(pts, config.l, config.delta, M=config.m)
     row = {**_certificate(report), "M": report.params.M, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)} M={report.params.M}"
     return list(row), [row], line
@@ -332,7 +333,7 @@ def _cmd_mi_estimate(config: argparse.Namespace):
         _require(config, "n")
         pts = np.hstack([sample(_load_density(config, option), config.n, split(config.seed, i))
                          for i, option in enumerate(("k1", "k2"))])
-    report = estimate_mi_certified(pts, k1, config.l, config.delta, seed=config.seed)
+    report = estimate_mi_certified(pts, k1, config.l, config.delta)
     m_x, m_y, m_xy = (part.params.M for part in report.components)
     row = {**_certificate(report), "m_x": m_x, "m_y": m_y, "m_xy": m_xy, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)}"
@@ -350,7 +351,7 @@ def _cmd_coverage(config: argparse.Namespace):
     def one_trial(t: int) -> dict:
         seed_t = split(config.seed, t)
         pts = sample(model, config.n, seed_t)
-        report = estimate_entropy_certified(pts, config.l, config.delta, M=params.M, seed=seed_t)
+        report = estimate_entropy_certified(pts, config.l, config.delta, M=params.M)
         abs_err = abs(report.estimate - truth)
         return {
             "row": "trial",
@@ -375,7 +376,10 @@ def _cmd_coverage(config: argparse.Namespace):
 def _external_estimator(config: argparse.Namespace):
     if config.estimator is None:
         return None
-    return ExternalEstimator(shlex.split(config.estimator))
+    try:
+        return ExternalEstimator(shlex.split(config.estimator))
+    except ValueError as exc:
+        raise ValueError(f"--estimator {config.estimator!r}: {exc}") from None
 
 
 def _cmd_demo(demo_fn, config: argparse.Namespace):
@@ -503,9 +507,9 @@ _DEMO_OPTIONS = ("c", "delta", "n", "trials", "seed", "estimator", "out")
 # benchmark's tracer does) sees the call.
 _COMMANDS = {
     "bound": (_cmd_bound, "evaluate the confidence bound",
-              ("k", "l", "m", "n", "delta", "out", "seed")),
+              ("k", "l", "m", "n", "delta", "out")),
     "optimize-m": (_cmd_optimize_m, "bound-minimizing bin count",
-                   ("k", "l", "n", "delta", "out", "seed")),
+                   ("k", "l", "n", "delta", "out")),
     "estimate": (_cmd_estimate, "certified entropy estimate",
                  ("density", "input", "format", "k", "l", "m", "n", "delta", "seed", "out")),
     "mi-estimate": (_cmd_mi_estimate, "certified mutual-information estimate",
@@ -541,6 +545,8 @@ def _validate_config(config: argparse.Namespace) -> None:
             raise ValueError(f"--{name} exceeds the largest float64, {sys.float_info.max!r}")
     if config.seed < 0:
         raise ValueError(f"seed must be >= 0, got {config.seed!r}")
+    if config.density is not None and config.input is not None:
+        raise ValueError("--density and --input both name the sample: give one of them")
     _m_values(config.m_list)
     _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):

@@ -125,13 +125,15 @@ class EstimatorFailure(EntroboundError):
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """An estimate with its certificate: value, bound, parameters, provenance."""
+    """An estimate with its certificate: value, bound and parameters.
+
+    A mutual-information report also holds its x, y and joint entropy
+    reports, in that order, as ``components``; an entropy report has none.
+    """
 
     estimate: float
     bound: ConfidenceBound
     params: BoundParams
-    seed: int | None
-    kind: str
     components: tuple["EstimateReport", ...] | None = None
 
     def __post_init__(self) -> None:
@@ -178,7 +180,7 @@ def _plan(K: int, L: float, N: int, delta: float, M: int | None = None):
 
 
 def estimate_entropy_certified(
-    samples, L: float, delta: float, M: int | None = None, seed: int | None = None
+    samples, L: float, delta: float, M: int | None = None
 ) -> EstimateReport:
     """Histogram entropy estimate with its confidence bound.
 
@@ -190,12 +192,10 @@ def estimate_entropy_certified(
     pts = _as_points(samples)
     params, bound = _plan(int(pts.shape[1]), L, int(pts.shape[0]), delta, M)
     estimate = estimate_differential_entropy(pts, params.M)
-    return EstimateReport(estimate=estimate, bound=bound, params=params, seed=seed, kind="entropy")
+    return EstimateReport(estimate=estimate, bound=bound, params=params)
 
 
-def estimate_mi_certified(
-    samples, k1: int, L: float, delta: float, seed: int | None = None
-) -> EstimateReport:
+def estimate_mi_certified(samples, k1: int, L: float, delta: float) -> EstimateReport:
     """Mutual-information estimate h(x) + h(y) - h(x, y) with a summed bound.
 
     ``samples`` holds one (x, y) pair per row: x is ``samples[:, :k1]``, y is
@@ -215,7 +215,7 @@ def estimate_mi_certified(
 
     def term(i: int):
         try:
-            return estimate_entropy_certified(terms[i], L, delta / 3.0, seed=seed)
+            return estimate_entropy_certified(terms[i], L, delta / 3.0)
         except Exception as exc:  # re-raised below, in x, y, joint order
             return exc
 
@@ -234,8 +234,6 @@ def estimate_mi_certified(
         estimate=h_x + h_y - h_xy,
         bound=ConfidenceBound(quant, stat, emp, quant + stat + emp),
         params=parts[2].params,
-        seed=seed,
-        kind="mutual_information",
         components=parts,
     )
 
@@ -349,6 +347,10 @@ class ExternalEstimator:
     command: list[str]
     timeout: float = 300.0
 
+    def __post_init__(self) -> None:
+        if not self.command:
+            raise ValueError("the command names no program")
+
     def __call__(self, samples) -> float:
         rows = _as_points(samples)
         payload = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows) + "\n"
@@ -385,8 +387,12 @@ def _check_demo_args(C: float, delta: float, N: int, trials: int) -> None:
         raise ValueError(f"C must be positive, got {C!r}")
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    as_int("N", N)
+    N = as_int("N", N)
     as_int("trials", trials, minimum=10)
+    # Each demo plants its branch at a rate of delta/(2N) or less.
+    if not delta / (2.0 * N) > 0.0:
+        raise ValueError(f"delta = {delta!r} is too small for N = {N}: "
+                         "the planted rate delta/(2N) underflows to 0")
 
 
 def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: int) -> DemoReport:

@@ -1,10 +1,10 @@
 """Reference code that only the tests read.
 
 Slow or independent forms of what the package computes (the bin index of
-one point, eta and the validity threshold in ``decimal``), and
-helpers that no command needs: sample writers, the trapezoid model, the
-relative entropy by quadrature and the collision probabilities of the
-discrete MI adversary.
+one point; eta, the three bound terms and the validity threshold in
+``decimal``), and helpers that no command needs: sample writers, the
+trapezoid model, the relative entropy by quadrature and the collision
+probabilities of the discrete MI adversary.
 """
 import decimal
 import math
@@ -116,6 +116,25 @@ def eta_exact(K: int, L: float) -> decimal.Decimal:
     with decimal.localcontext(decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX)):
         ratio = decimal.Decimal(2 * math.factorial(K + 1)) / decimal.Decimal(L)
         return (ratio.ln() / (K + 1)).exp() / K
+
+
+def quantization_bias_exact(K: int, L: float, M: int) -> decimal.Decimal:
+    """(L*K / 2M) * log(M * eta(K, L)) at 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX)):
+        return decimal.Decimal(L) * K / (2 * M) * (M * eta_exact(K, L)).ln()
+
+
+def statistical_deviation_exact(N: int, delta: float) -> decimal.Decimal:
+    """sqrt((2/N) * log(2/delta)) * log(N) at 60 digits."""
+    with decimal.localcontext(decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX)):
+        D = decimal.Decimal
+        return (2 / D(N) * (2 / D(delta)).ln()).sqrt() * D(N).ln()
+
+
+def empirical_bias_exact(K: int, M: int, N: int) -> decimal.Decimal:
+    """log(1 + (M^K - 1) / N) at 60 digits, from the exact integer M^K."""
+    with decimal.localcontext(decimal.Context(prec=_DIGITS, Emax=decimal.MAX_EMAX)):
+        return (decimal.Decimal(N + M**K - 1) / N).ln()
 
 
 def _alpha_exact() -> decimal.Decimal:

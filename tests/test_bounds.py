@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from entrobound import (
@@ -26,7 +26,13 @@ from entrobound import (
     total_bound,
 )
 from entrobound import bounds
-from reference import lipschitz_at_threshold, threshold_exact
+from reference import (
+    empirical_bias_exact,
+    lipschitz_at_threshold,
+    quantization_bias_exact,
+    statistical_deviation_exact,
+    threshold_exact,
+)
 
 ALPHA_50DIG = 0.12075380243427643
 
@@ -198,8 +204,19 @@ def _pl_cell_masses(x, f, M):
 
 
 def _companion_entropy(masses, M):
+    """-sum m log(m M^K) over the K-dimensional array of cell masses."""
     m = masses[masses > 0.0]
-    return float(-np.sum(m * np.log(M * m)))
+    return float(-np.sum(m * np.log(float(M) ** masses.ndim * m)))
+
+
+# One factor of a K = 2 product: knots on a 1/16 grid, so L stays below a few
+# hundred and the companion at 8 * min_valid_M(2, L) has under 10^6 cells.
+_COARSE_PIECEWISE_LINEAR = st.lists(st.integers(1, 15), min_size=1, max_size=4,
+                                    unique=True).flatmap(
+    lambda pos: st.tuples(
+        st.just([16 * p for p in sorted(pos)]),
+        st.lists(st.integers(1, 4), min_size=len(pos), max_size=len(pos)),
+    ))
 
 
 class TestBiasLemmaOnPiecewiseLinear:
@@ -229,6 +246,24 @@ class TestBiasLemmaOnPiecewiseLinear:
             h_q = _companion_entropy(masses, M)
             assert h_q >= h_p - 1e-12  # averaging over cells never lowers entropy
             assert abs(h_p - h_q) <= quantization_bias(1, L, M)
+
+    @settings(max_examples=40)
+    @given(_COARSE_PIECEWISE_LINEAR, _COARSE_PIECEWISE_LINEAR)
+    def test_product_companion_entropy_within_bias(self, case1, case2):
+        """K = 2: p(u, v) = f1(u) f2(v), with h = h1 + h2, the l1-Lipschitz
+        constant max(L1 sup f2, L2 sup f1), and cell masses the outer product
+        of the 1-D masses."""
+        (x1, f1), (x2, f2) = _piecewise_linear(*case1), _piecewise_linear(*case2)
+        L1, L2 = (float(np.max(np.abs(np.diff(f) / np.diff(x)))) for x, f in ((x1, f1), (x2, f2)))
+        L = max(L1 * float(np.max(f2)), L2 * float(np.max(f1)))
+        h_p = _pl_entropy(x1, f1) + _pl_entropy(x2, f2)
+        M0 = min_valid_M(2, L)
+        for M in (M0, 2 * M0, 8 * M0):
+            masses = np.outer(_pl_cell_masses(x1, f1, M), _pl_cell_masses(x2, f2, M))
+            assert math.fsum(masses.ravel()) == pytest.approx(1.0, abs=1e-12)
+            h_q = _companion_entropy(masses, M)
+            assert h_q >= h_p - 1e-12
+            assert abs(h_p - h_q) <= quantization_bias(2, L, M)
 
 
 class TestStatisticalDeviation:
@@ -296,6 +331,62 @@ class TestEmpiricalBias:
     def test_strictly_decreasing_in_N(self):
         values = [empirical_bias(2, 50, N) for N in (1, 10, 100, 10**4, 10**6)]
         assert all(b < a for a, b in zip(values, values[1:]))
+
+
+def _error(value: float, exact: decimal.Decimal) -> decimal.Decimal:
+    return abs(decimal.Decimal(value) - exact)
+
+
+def _ulp(exact: decimal.Decimal) -> decimal.Decimal:
+    return decimal.Decimal(math.ulp(float(exact)))
+
+
+_SUBNORMAL = st.floats(5e-324, 2.2250738585072014e-308, exclude_max=True)
+
+
+class TestUlpBudget:
+    """Each bound term within its ulp budget of its 60-digit ``decimal`` value.
+
+    The budget is 32 ulps, and 64 for ``quantization_bias``: eta raises
+    2 (K+1)!/L to the float power fl(1/(K+1)), a relative error of
+    |log(2 (K+1)!/L)| * |fl(1/(K+1)) - 1/(K+1)|.  At K = 2 and L near the
+    float maximum, that alone is up to 56 ulps of the term at its threshold.
+    """
+
+    # K on both sides of the factorial cutoff (20 | 21), subnormal L (eta's
+    # log form; for K <= 20 its threshold is below 1, so M = 1 is drawn), and
+    # M at the threshold or above it.
+    @given(K=st.one_of(st.sampled_from([1, 2, 20, 21]), st.integers(1, 200)),
+           L=st.one_of(_SUBNORMAL, st.floats(2.2250738585072014e-308, 1.7976931348623157e308)),
+           above=st.one_of(st.just(0), st.integers(0, 10), st.integers(0, 2**64)))
+    def test_quantization_bias(self, K, L, above):
+        M = min_valid_M(K, L) + above
+        exact = quantization_bias_exact(K, L, M)
+        error = _error(quantization_bias(K, L, M), exact)
+        if L * K / (2.0 * M) < 2.2250738585072014e-308:
+            # A subnormal prefactor keeps fewer bits, and the log multiplies
+            # its rounding error.
+            assert error <= decimal.Decimal(2.0**-1064), (K, L, M)
+        else:
+            assert error <= 64 * _ulp(exact), (K, L, M)
+
+    @given(N=st.one_of(st.integers(1, 10), st.integers(1, 10**18)),
+           delta=st.one_of(_SUBNORMAL, st.floats(2.2250738585072014e-308, 1.0)))
+    def test_statistical_deviation(self, N, delta):
+        exact = statistical_deviation_exact(N, delta)
+        assert _error(statistical_deviation(N, delta), exact) <= 32 * _ulp(exact), (N, delta)
+
+    # M = 1, any M up to 2^53, and M within a few steps of exp(700 / K), where
+    # K * log(M) crosses _LOG_MK_CUTOFF.
+    @given(case=st.integers(1, 300).flatmap(lambda K: st.tuples(st.just(K), st.one_of(
+        st.just(1),
+        st.integers(1, 2**53),
+        st.integers(-3, 3).map(lambda d: max(1, int(math.exp(bounds._LOG_MK_CUTOFF / K)) + d)),
+    ))), N=st.integers(1, 10**15))
+    def test_empirical_bias(self, case, N):
+        K, M = case
+        exact = empirical_bias_exact(K, M, N)
+        assert _error(empirical_bias(K, M, N), exact) <= 32 * _ulp(exact), (K, M, N)
 
 
 class TestBoundParams:

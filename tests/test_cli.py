@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from entrobound import cli, oracle
@@ -119,6 +119,53 @@ def test_negative_seed_rejected_before_work(argv, tmp_path, capsys):
     code, stdout, err = run_cli(argv, capsys)
     assert (code, stdout, err) == (2, "", "error: invalid: seed must be >= 0, got -1\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg", "u.f64"]
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "1", "--l", "4", "--m", "100", "--n", "1000", "--delta", "0.1"],
+    ["optimize-m", "--k", "1", "--l", "4", "--n", "1000", "--delta", "0.1"],
+], ids=["bound", "optimize-m"])
+def test_seed_refused_where_nothing_is_drawn(argv, in_config, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("seed = 1\n")
+    extra = ["--config", str(cfg)] if in_config else ["--seed", "1"]
+    code, out, err = run_cli(argv + extra, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid: unrecognized arguments: --seed")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("value, in_config", [
+    ("", False), ("   ", False), ("'abc", False), ("", True),
+], ids=["empty", "blank", "open-quote", "empty-config-line"])
+def test_estimator_that_names_no_program(value, in_config, tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"estimator = {value}\n")
+    extra = ["--config", str(cfg)] if in_config else [f"--estimator={value}"]
+    code, out, err = run_cli(
+        ["prop1-demo", "--c", "1", "--delta", "0.1", "--n", "10", "--trials", "10"] + extra,
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid: --estimator ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "1"],
+    ["mi-estimate", "--k1", "1", "--k2", "1"],
+], ids=["estimate", "mi-estimate"])
+def test_density_and_input_refused_together(argv, tmp_path, capsys):
+    data = tmp_path / "u.csv"
+    data.write_text("0.5,0.5\n0.25,0.75\n")
+    code, out, err = run_cli(
+        argv + ["--density", "tent", "--input", str(data), "--l", "8", "--delta", "0.1"],
+        capsys,
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("error: invalid: ")
+    assert "--density" in err and "--input" in err and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -255,6 +302,18 @@ def test_subnormal_l_gives_finite_bound(capsys):
     assert out.startswith("total=0.62909237261884221 quant_bias=0 ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "1", "--l", "4", "--m", "100", "--n", "1000", "--delta", "5e-324"],
+    ["optimize-m", "--k", "2", "--l", "1.7e308", "--n", "1000", "--delta", "0.1"],
+], ids=["subnormal-delta", "l-times-k-overflows"])
+def test_finite_bound_where_an_intermediate_overflows(argv, capsys):
+    """2/delta overflows for a subnormal delta, and L * K above the float maximum."""
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    terms = dict(item.split("=") for item in out.split())
+    assert all(math.isfinite(float(value)) for value in terms.values())
+
+
 def test_tiny_l_gives_finite_bias(capsys):
     code, out, err = run_cli(
         ["bound", "--k", "1", "--l", "1e-308", "--m", "100", "--n", "1000", "--delta", "0.1"],
@@ -285,35 +344,72 @@ _FUZZ_VALUES = st.one_of(
                      "-r.csv"]),
 )
 # Each command's options, at values that run; the fuzz replaces some of them.
+_FUZZ_DEMO = {"c": "1", "delta": "0.1", "seed": None, "estimator": None, "out": None}
 _FUZZ_BASE = {
-    "bound": {"k": "1", "l": "4", "m": "100", "n": "1000", "delta": "0.1", "out": None,
-              "seed": None},
-    "optimize-m": {"k": "1", "l": "4", "n": "1000", "delta": "0.1", "out": None, "seed": None},
+    "bound": {"k": "1", "l": "4", "m": "100", "n": "1000", "delta": "0.1", "out": None},
+    "optimize-m": {"k": "1", "l": "4", "n": "1000", "delta": "0.1", "out": None},
+    "estimate": {"density": "tent", "input": None, "k": "1", "l": "4", "m": None,
+                 "delta": "0.1", "seed": None, "out": None},
+    "mi-estimate": {"density": "tent", "k1": "1", "k2": "1", "l": "8", "delta": "0.1",
+                    "seed": None, "out": None},
+    "coverage": {"density": "tent", "k": "1", "l": "4", "m": None, "delta": "0.1",
+                 "seed": None, "out": None},
+    "prop1-demo": _FUZZ_DEMO,
+    "mi-demo": _FUZZ_DEMO,
+    "kl-demo": _FUZZ_DEMO,
+}
+# Options whose value is never fuzzed, only where it is given: a 300-digit
+# --n or --trials passes validation and then draws or loops for as long as it
+# says, and --threads starts that many threads.
+_FUZZ_FIXED = {
+    "estimate": {"n": "100"},
+    "mi-estimate": {"n": "100"},
+    "coverage": {"n": "100", "trials": "12", "threads": "4"},
+    "prop1-demo": {"n": "100", "trials": "10"},
+    "mi-demo": {"n": "100", "trials": "10"},
+    "kl-demo": {"n": "100", "trials": "10"},
 }
 
 
+@st.composite
+def _fuzz_case(draw):
+    """(argv, config file text or None) of one command."""
+    command = draw(st.sampled_from(sorted(_FUZZ_BASE)))
+    argv, in_file = [command], {}
+    options = [(key, st.one_of(st.just(base), _FUZZ_VALUES))
+               for key, base in _FUZZ_BASE[command].items()]
+    options += [(key, st.just(value)) for key, value in _FUZZ_FIXED.get(command, {}).items()]
+    for key, values in options:
+        value = draw(values, label=key)
+        if value is None:
+            continue
+        where = draw(st.sampled_from(["--key value", "--key=value", "file"]))
+        if where == "file":
+            in_file[key] = value
+        else:
+            argv += [f"--{key}={value}"] if "=" in where else [f"--{key}", value]
+    return argv, "".join(f"{key} = {value}\n" for key, value in in_file.items()) or None
+
+
 def test_main_contract_fuzz(tmp_path, monkeypatch, capsys):
-    """Any argv or config file of bound and optimize-m: exit 0, 1 or 2; an
-    error is exactly one 'error: ' line, and success prints nothing to stderr."""
+    """Any argv or config file of every command but verify-lemmas: exit 0, 1
+    or 2; an error is exactly one 'error: ' line, and success prints nothing
+    to stderr."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("ENTROBOUND_THREADS", "2")
     cfg = tmp_path / "fuzz.cfg"
 
-    @settings(max_examples=200)
-    @given(data=st.data(), command=st.sampled_from(sorted(_FUZZ_BASE)))
-    def check(data, command):
-        argv, in_file = [command], {}
-        for key, base in _FUZZ_BASE[command].items():
-            value = data.draw(st.one_of(st.just(base), _FUZZ_VALUES), label=key)
-            if value is None:
-                continue
-            where = data.draw(st.sampled_from(["--key value", "--key=value", "file"]))
-            if where == "file":
-                in_file[key] = value
-            else:
-                argv += [f"--{key}={value}"] if "=" in where else [f"--{key}", value]
-        if in_file:
-            cfg.write_text("".join(f"{key} = {value}\n" for key, value in in_file.items()))
-            argv += ["--config", str(cfg)]
+    @settings(max_examples=400)
+    @given(case=_fuzz_case())
+    @example(case=(["prop1-demo", "--c", "1", "--delta", "0.1", "--n", "10", "--trials", "10",
+                    "--estimator="], None))
+    @example(case=(["prop1-demo", "--c", "1", "--delta", "5e-324", "--n", "100", "--trials",
+                    "10"], None))
+    def check(case):
+        argv, text = case
+        if text is not None:
+            cfg.write_text(text)
+            argv = argv + ["--config", str(cfg)]
         code = main(argv)
         err = capsys.readouterr().err
         assert code in (0, 1, 2)
@@ -826,10 +922,10 @@ _GOLDEN_RUNS = {
     "bound": (["bound", "--k", "2", "--l", "2", "--m", "60", "--n", "1000000",
                "--delta", "0.05"],
               "01296b1d4ace1dc0d578c52ae16e0a8e1053c11e77bd97e83591d48a067cac61",
-              "c05dc72ebfc1c5937d6c46452754c7656fb1e99ed50c431975452e12aa240d4f"),
+              "321598c586540459853a27bac967d94fc1c8f5ee62660ee3e5fbe9974f738470"),
     "optimize-m": (["optimize-m", "--k", "2", "--l", "4", "--n", "100000", "--delta", "0.05"],
                    "831f41f8b6046f3a9095dbca49e9bc4eaedf1d456f46bf94e96f768cf3d22d3e",
-                   "5a20d295a954afa8901aab9bc0adc2ba9fbc0720b294caabcad0a811c4891be7"),
+                   "9b2b9e0bb01456a2f94746d1c0e6e0054340ed336a5d90634620217b2d0fb4f8"),
     "estimate": (["estimate", "--density", "tent", "--k", "2", "--l", "8", "--n", "5000",
                   "--delta", "0.1", "--seed", "3"],
                  "bc724c110bb4cc60e250f77b0f994f138cd7c368a3960d7acf612a902f4ec4b8",

@@ -36,9 +36,9 @@ TENT_H1 = 0.5 - math.log(2.0)
 class TestEstimateEntropyCertified:
     def test_tent_run_is_covered(self):
         pts = sample(tent_density(1), 10**5, 7)
-        report = estimate_entropy_certified(pts, 4.0, 0.1, seed=7)
+        report = estimate_entropy_certified(pts, 4.0, 0.1)
         assert abs(report.estimate - TENT_H1) <= report.bound.total
-        assert report.kind == "entropy"
+        assert report.components is None
         assert report.params.valid_for_theorem
 
     def test_single_sample_degenerate(self):
@@ -59,8 +59,8 @@ class TestEstimateEntropyCertified:
 
     def test_deterministic(self):
         pts = sample(tent_density(2), 5000, 3)
-        a = estimate_entropy_certified(pts, 8.0, 0.05, seed=3)
-        b = estimate_entropy_certified(pts, 8.0, 0.05, seed=3)
+        a = estimate_entropy_certified(pts, 8.0, 0.05)
+        b = estimate_entropy_certified(pts, 8.0, 0.05)
         assert a == b
 
     def test_coverage_over_100_trials(self):
@@ -88,7 +88,7 @@ class TestEstimateMiCertified:
     def test_independent_pair_near_zero(self, independent_tents):
         # joint density of independent tents is the K=2 tent, L = 8
         report = estimate_mi_certified(independent_tents, 1, 8.0, 0.1)
-        assert report.kind == "mutual_information"
+        assert len(report.components) == 3
         assert abs(report.estimate) <= report.bound.total
 
     def test_symmetry_under_swap(self, independent_tents):
@@ -204,7 +204,7 @@ class TestThreadCountInvariance:
         bits = set()
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("ENTROBOUND_THREADS", threads)
-            report = estimate_entropy_certified(pts, 2.0 ** (K + 1), 0.1, M=M, seed=4)
+            report = estimate_entropy_certified(pts, 2.0 ** (K + 1), 0.1, M=M)
             bits.add(_report_bits(report))
         assert len(bits) == 1
 
@@ -566,6 +566,13 @@ class TestNanEstimates:
             demo(C=0.5, delta=0.2, N=20, trials=10, seed=5, estimator=_NanAfter(3))
 
 
+@pytest.mark.parametrize("demo", [prop1_demo, mi_adversary_demo, kl_demo])
+def test_delta_whose_planted_rate_underflows(demo):
+    """Refused before any trial, where delta/(2N) rounds to 0."""
+    with pytest.raises(ValueError, match="underflows to 0"):
+        demo(C=1.0, delta=5e-324, N=100, trials=10, seed=1)
+
+
 class TestExternalEstimatorProtocol:
     def test_round_trip(self):
         est = ExternalEstimator(
@@ -574,6 +581,10 @@ class TestExternalEstimatorProtocol:
         )
         value = est(np.full((25, 2), 0.5))
         assert value == pytest.approx(0.25)
+
+    def test_empty_command_refused(self):
+        with pytest.raises(ValueError, match="names no program"):
+            ExternalEstimator([])
 
     def test_nonzero_exit_is_failure(self):
         est = ExternalEstimator([sys.executable, "-c", "import sys; sys.exit(3)"])
