@@ -14,6 +14,12 @@ where
     eta(K, L) = (1/K) * (2 * (K+1)! / L)^(1/(K+1))
     alpha     = (sqrt(e^2 + 4) - e) / (2e)  ~ 0.120754 .
 
+Making a ``BoundParams`` checks that condition, once, so ``total_bound``
+takes it as met.  Each term's formula is one private function, shared by the
+public term, ``total_bound`` and ``optimize_M``; the search forms eta, the
+threshold and the statistical term once and evaluates only the two terms that
+depend on M.
+
 Everything here is in nats (natural log).  All functions are pure and safe to
 call concurrently.
 """
@@ -97,10 +103,30 @@ def min_valid_M(K: int, L: float) -> int:
     lies within ``_THRESHOLD_SLACK`` (relative) of an integer; there
     ``_exact_ceiling`` decides.
     """
-    threshold = 1.0 / (alpha_const() * eta(K, L))
+    return _min_valid_M(K, L, eta(K, L))
+
+
+def _min_valid_M(K: int, L: float, eta_KL: float) -> int:
+    """``min_valid_M(K, L)`` given eta_KL = eta(K, L)."""
+    threshold = 1.0 / (alpha_const() * eta_KL)
     if abs(threshold - round(threshold)) <= threshold * _THRESHOLD_SLACK:
         return max(1, _exact_ceiling(K, L))
     return max(1, math.ceil(threshold))
+
+
+def _valid_eta(K: int, L: float, M: int) -> float:
+    """eta(K, L), once M is known to meet the validity threshold.
+
+    Raises ValidityError when M < min_valid_M(K, L).
+    """
+    eta_KL = eta(K, L)
+    threshold = _min_valid_M(K, L, eta_KL)
+    if M < threshold:
+        raise ValidityError(
+            f"M={M} is below the minimum bin count {threshold} for K={K}, L={L}; "
+            "the confidence bound does not apply"
+        )
+    return eta_KL
 
 
 def _exact_ceiling(K: int, L: float) -> int:
@@ -131,6 +157,8 @@ class BoundParams:
 
     K: dimension; L: Lipschitz constant w.r.t. the l1 norm; M: quantization
     steps per axis; N: sample count; delta: allowed failure probability.
+    Construction checks each field, then raises ValidityError when M is
+    below min_valid_M(K, L), so every instance meets the bound's condition.
     """
 
     K: int
@@ -145,11 +173,7 @@ class BoundParams:
         object.__setattr__(self, "N", as_int("N", self.N))
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-
-    @property
-    def valid_for_theorem(self) -> bool:
-        """True iff M meets the threshold M >= 1/(alpha * eta(K, L))."""
-        return self.M >= min_valid_M(self.K, self.L)
+        _valid_eta(self.K, self.L, self.M)
 
 
 @dataclass(frozen=True)
@@ -166,21 +190,19 @@ def quantization_bias(K: int, L: float, M: int) -> float:
     """Bias term (L*K / 2M) * log(M * eta(K, L)).
 
     Requires M >= min_valid_M(K, L), which guarantees M * eta >= 1/alpha > 1
-    so the logarithm is positive.  Where L * K overflows, the prefactor is
-    formed as L / 2M first.
+    so the logarithm is positive; a smaller M raises ValidityError.  Where
+    L * K overflows, the prefactor is formed as L / 2M first.
     """
     K = _validate_K_L(K, L)
     M = as_int("M", M)
-    threshold = min_valid_M(K, L)
-    if M < threshold:
-        raise ValidityError(
-            f"M={M} is below the minimum bin count {threshold} for K={K}, L={L}; "
-            "the confidence bound does not apply"
-        )
+    return _quantization_term(K, L, M, _valid_eta(K, L, M))
+
+
+def _quantization_term(K: int, L: float, M: int, eta_KL: float) -> float:
     scale = L * K / (2.0 * M)
     if scale == math.inf:  # L * K overflows, the quotient does not
         scale = L / (2.0 * M) * K
-    return scale * math.log(M * eta(K, L))
+    return scale * math.log(M * eta_KL)
 
 
 def statistical_deviation(N: int, delta: float) -> float:
@@ -193,6 +215,10 @@ def statistical_deviation(N: int, delta: float) -> float:
     N = as_int("N", N)
     if not (0.0 < delta <= 1.0):
         raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
+    return _statistical_term(N, delta)
+
+
+def _statistical_term(N: int, delta: float) -> float:
     ratio = 2.0 / delta
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
     return math.sqrt((2.0 / N) * log_ratio) * math.log(N)
@@ -204,9 +230,10 @@ def empirical_bias(K: int, M: int, N: int) -> float:
     When K*log(M) exceeds the float range the algebraically equal form
     K*log(M) - log(N) + log1p((N-1) * M^-K) is used.
     """
-    K = as_int("K", K)
-    M = as_int("M", M)
-    N = as_int("N", N)
+    return _empirical_term(as_int("K", K), as_int("M", M), as_int("N", N))
+
+
+def _empirical_term(K: int, M: int, N: int) -> float:
     if M == 1:
         return 0.0
     log_mk = K * math.log(M)
@@ -218,11 +245,13 @@ def empirical_bias(K: int, M: int, N: int) -> float:
 def total_bound(params: BoundParams) -> ConfidenceBound:
     """All three terms of the confidence bound, plus their sum.
 
-    Raises ValidityError when ``params.valid_for_theorem`` is false.
+    ``params`` met the validity threshold when it was constructed, so the
+    terms are computed without checking it again.
     """
-    quant = quantization_bias(params.K, params.L, params.M)
-    stat = statistical_deviation(params.N, params.delta)
-    emp = empirical_bias(params.K, params.M, params.N)
+    K, L, M, N = params.K, params.L, params.M, params.N
+    quant = _quantization_term(K, L, M, eta(K, L))
+    stat = _statistical_term(N, params.delta)
+    emp = _empirical_term(K, M, N)
     return ConfidenceBound(quant, stat, emp, quant + stat + emp)
 
 
@@ -245,19 +274,22 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
     (either part may be empty).
     The bisection moves right when total(mid + 1) < total(mid) and left
     otherwise, so ties break toward smaller M (cheaper histograms).  It
-    evaluates the bound at most 2*ceil(log2(M_cap - min_valid_M + 1)) + 1
-    times.
+    evaluates the total at most 2*ceil(log2(M_cap - min_valid_M + 1)) times,
+    as q(M) + stat + e(M) with eta, the threshold and stat formed once per
+    search: ``total_bound``'s float operations in its order.
     """
     K = _validate_K_L(K, L)
     N = as_int("N", N, minimum=2)
     if not (0.0 < delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
-    lo = min_valid_M(K, L)
+    eta_KL = eta(K, L)
+    lo = _min_valid_M(K, L, eta_KL)
     hi = max(lo, math.ceil((10.0 * N) ** (1.0 / K)))
+    stat = _statistical_term(N, delta)
 
     def objective(M: int) -> float:
-        return total_bound(BoundParams(K, L, M, N, delta)).total
+        return _quantization_term(K, L, M, eta_KL) + stat + _empirical_term(K, M, N)
 
     # Invariant: the smallest minimizer lies in [lo, hi].
     while lo < hi:

@@ -129,6 +129,7 @@ class EstimateReport:
 
     A mutual-information report also holds its x, y and joint entropy
     reports, in that order, as ``components``; an entropy report has none.
+    ``params`` meets the validity threshold, as every ``BoundParams`` does.
     """
 
     estimate: float
@@ -137,8 +138,6 @@ class EstimateReport:
     components: tuple["EstimateReport", ...] | None = None
 
     def __post_init__(self) -> None:
-        if not self.params.valid_for_theorem:
-            raise AssertionError("report constructed with invalid bound parameters")
         if not (self.bound.total >= 0.0):
             raise AssertionError("report constructed with a negative bound")
 
@@ -382,7 +381,9 @@ class ExternalEstimator:
 # ---------------------------------------------------------------------------
 
 
-def _check_demo_args(C: float, delta: float, N: int, trials: int) -> None:
+def _check_demo_args(C: float, delta: float, N: int, trials: int, gap) -> None:
+    """Refuse bad arguments before any trial, including a C or delta for
+    which the planted parameter ``gap(b)`` is not finite even at b = 0."""
     if not (C > 0.0):
         raise ValueError(f"C must be positive, got {C!r}")
     if not (0.0 < delta < 1.0):
@@ -393,14 +394,20 @@ def _check_demo_args(C: float, delta: float, N: int, trials: int) -> None:
     if not delta / (2.0 * N) > 0.0:
         raise ValueError(f"delta = {delta!r} is too small for N = {N}: "
                          "the planted rate delta/(2N) underflows to 0")
+    if not math.isfinite(gap(0.0)):
+        raise ValueError(f"C = {C!r} and delta = {delta!r} put the planted parameter "
+                         f"a beyond float range for N = {N}")
 
 
-def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: int) -> DemoReport:
+def _run_demo(
+    victim, score, pilot_draw, gap, plant, C: float, delta: float, trials: int
+) -> DemoReport:
     """The recipe shared by the three demonstrations.
 
     Calibrate b as the (1 - delta/2) upper quantile of ``score(estimate)``
-    over the pilot draws, let ``plant(b)`` return the planted truth and the
-    attack draw for trial t, then count the attack trials whose estimate
+    over the pilot draws, take the planted parameter a = ``gap(b)`` (refused
+    when it is not finite), let ``plant(b, a)`` return the planted truth and
+    the attack draw for trial t, then count the attack trials whose estimate
     misses the truth by more than C and those whose score stays at most b.
     An ``EstimatorFailure`` or a NaN estimate in the attack phase counts as a
     miss and never as "below"; in the pilot phase either one raises
@@ -413,7 +420,11 @@ def _run_demo(victim, score, pilot_draw, plant, C: float, delta: float, trials: 
             raise EstimatorFailure(f"estimator returned NaN on pilot trial {t}")
         pilot.append(score(est))
     b = float(np.quantile(np.asarray(pilot), 1.0 - delta / 2.0, method="higher"))
-    truth, attack_draw = plant(b)
+    a = gap(b)
+    if not math.isfinite(a):
+        raise ValueError(f"the calibrated b = {b!r} with C = {C!r} and delta = {delta!r} "
+                         "puts the planted parameter a beyond float range")
+    truth, attack_draw = plant(b, a)
 
     misses = 0
     below = 0
@@ -457,23 +468,19 @@ def prop1_demo(
     the true entropy sits more than C away: the reported failure fraction is
     expected to reach at least 1 - delta.
     """
-    _check_demo_args(C, delta, N, trials)
+    def gap(b: float) -> float:
+        return (b + C + _LN2) / (delta / (2.0 * N)) + 1.0
+
+    _check_demo_args(C, delta, N, trials, gap)
     base = tent_density(K)
     h_base = base.analytic_entropy
     victim = estimator
     if victim is None:
         victim = PinnedEntropyEstimator(K, base.lipschitz_L, delta, N)
 
-    def plant(b: float):
+    def plant(b: float, a: float):
         eps = delta / (2.0 * N)
-        a = (b + C + _LN2) / eps + 1.0
-        target_h = h_base - a
-        if not math.isfinite(target_h):
-            raise ValueError(
-                f"required entropy gap a={a:g} exceeds the representable range of "
-                "target entropies"
-            )
-        alt = low_entropy_alt(K, target_h)
+        alt = low_entropy_alt(K, h_base - a)
         mixture = prop1_mixture(ContaminationSpec(base=base, alt=alt, epsilon=eps, a=a))
         return mixture.analytic_entropy, lambda t: sample(mixture, N, split(seed, 1, t))
 
@@ -481,7 +488,7 @@ def prop1_demo(
         victim,
         score=lambda est: abs(est - h_base),
         pilot_draw=lambda t: sample(base, N, split(seed, 0, t)),
-        plant=plant, C=C, delta=delta, trials=trials,
+        gap=gap, plant=plant, C=C, delta=delta, trials=trials,
     )
 
 
@@ -518,21 +525,22 @@ def mi_adversary_demo(
     estimate stays at or below b while the true mutual information is at
     least eps * a > b + C.
     """
-    _check_demo_args(C, delta, N, trials)
+    def gap(b: float) -> float:
+        return (b + C) / (delta / (2.0 * N)) + 1.0
+
+    _check_demo_args(C, delta, N, trials, gap)
     victim = estimator if estimator is not None else _PinnedMiEstimator(delta)
 
     def pilot_draw(t: int) -> np.ndarray:
         rng = generator(split(seed, 0, t))
         return np.column_stack([rng.random(N), rng.random(N)])
 
-    def plant(b: float):
-        eps = delta / (2.0 * N)
-        adversary = mi_adversary((b + C) / eps + 1.0, eps)
+    def plant(b: float, a: float):
+        adversary = mi_adversary(a, delta / (2.0 * N))
         return adversary.true_mi, lambda t: np.column_stack(adversary.sample(split(seed, 1, t), N))
 
-    return _run_demo(
-        victim, score=float, pilot_draw=pilot_draw, plant=plant, C=C, delta=delta, trials=trials
-    )
+    return _run_demo(victim, score=float, pilot_draw=pilot_draw, gap=gap, plant=plant,
+                     C=C, delta=delta, trials=trials)
 
 
 def _two_cell_kl_rows(rows) -> float:
@@ -554,14 +562,16 @@ def kl_demo(
     probability at least 1 - delta/2, the estimate stays at or below c, and
     the true relative entropy D(a, k) >= c + C.
     """
-    _check_demo_args(C, delta, N, trials)
+    def gap(c: float) -> float:
+        return math.log(4.0 * N / delta)
+
+    _check_demo_args(C, delta, N, trials, gap)
     victim = estimator if estimator is not None else _two_cell_kl_rows
 
     def pilot_draw(t: int) -> np.ndarray:
         return generator(split(seed, 0, t)).random((2 * N, 1)) - 1.0
 
-    def plant(c: float):
-        a = math.log(4.0 * N / delta)
+    def plant(c: float, a: float):
         k = c + C + math.exp(-1.0)
         p_model, q_model = kl_step_pair(a, k)
 
@@ -572,6 +582,5 @@ def kl_demo(
 
         return kl_true_divergence(a, k), attack_draw
 
-    return _run_demo(
-        victim, score=float, pilot_draw=pilot_draw, plant=plant, C=C, delta=delta, trials=trials
-    )
+    return _run_demo(victim, score=float, pilot_draw=pilot_draw, gap=gap, plant=plant,
+                     C=C, delta=delta, trials=trials)

@@ -49,14 +49,13 @@ __all__ = [
     "kl_true_divergence",
 ]
 
-# Hard ceiling on evaluation points per refinement level; with the 24-level
-# cap this bounds both runtime and memory for any dimension.
+# Hard ceiling on evaluation points per refinement level; this bounds both
+# runtime and memory for any dimension.
 _MAX_POINTS_PER_LEVEL = 2**24
 # Only a grid of at least this many points may stop a refinement, so coarse
 # grids that agree by chance (before any point hits a narrow feature) cannot.
 _MIN_POINTS = 1024
 _CHUNK = 2**20
-_MAX_LEVELS = 24
 
 
 @dataclass(frozen=True)
@@ -93,15 +92,15 @@ def _midpoint_level(
     return acc * float(np.prod(step))
 
 
-def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float, max_n=math.inf):
+def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float):
     """Evaluate at n, 2n, 4n, ... points per axis until two grids in a row
     agree within ``tol`` (in their largest absolute difference).
 
-    Returns (value, difference, n), or None once n would pass ``max_n``;
-    raises QuadratureError past _MAX_POINTS_PER_LEVEL points per grid.
+    Returns (value, difference, n); raises QuadratureError past
+    _MAX_POINTS_PER_LEVEL points per grid.
     """
     prev = None
-    while n <= max_n:
+    while True:
         if n**K > _MAX_POINTS_PER_LEVEL:
             raise QuadratureError(
                 f"integration did not reach tol={tol:g} within the "
@@ -114,22 +113,20 @@ def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float, max_n
                 return value, diff, n
         prev = value
         n *= 2
-    return None
 
 
 def integrate_box(
     integrand: Callable[[np.ndarray], np.ndarray],
     box,
     tol: float,
-    max_levels: int = _MAX_LEVELS,
 ) -> QuadratureResult:
     """Integrate over an axis-aligned box by midpoint rule with dyadic refinement.
 
     Runs ``_refine`` over 2^level cells per axis, from the first level whose
-    grid has at least _MIN_POINTS points up to ``max_levels``, so features
-    narrower than that floor can still be missed, which is what the reported
-    ``est_error`` cannot see.  Raises QuadratureError when the level cap or
-    the per-level point budget is exhausted first.
+    grid has at least _MIN_POINTS points, so features narrower than that
+    floor can still be missed, which is what the reported ``est_error``
+    cannot see.  Raises QuadratureError when the per-level point budget runs
+    out before two grids agree.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -140,13 +137,9 @@ def integrate_box(
         raise ValueError(f"integration box has nonpositive side: {widths.tolist()}")
     K = lo.shape[0]
     first_level = max(1, math.ceil(math.log2(_MIN_POINTS) / K))
-    found = _refine(
-        lambda m: _midpoint_level(integrand, lo, widths, m),
-        2**first_level, K, tol, max_n=2**max_levels,
+    value, est_error, m = _refine(
+        lambda m: _midpoint_level(integrand, lo, widths, m), 2**first_level, K, tol
     )
-    if found is None:
-        raise QuadratureError(f"integration did not converge in {max_levels} refinement levels")
-    value, est_error, m = found
     return QuadratureResult(value=value, est_error=est_error, grid_cells=m**K)
 
 

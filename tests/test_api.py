@@ -42,6 +42,7 @@ REMOVED = {
     "entrobound": ["quantize_index", "discrete_entropy_bounds", "numeric_kl",
                    "trapezoid_entropy", "collision_probability"],
     "entrobound.bounds": ["discrete_entropy_bounds"],
+    "entrobound.bounds:BoundParams": ["valid_for_theorem"],
     "entrobound.histogram": ["quantize_index", "_bin_indices", "_index_rows"],
     "entrobound.histogram:SparseHistogram": ["bins"],
     "entrobound.oracle": ["numeric_kl", "trapezoid_model", "trapezoid_entropy"],

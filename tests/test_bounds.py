@@ -5,11 +5,13 @@ closed forms, frozen here as literals.
 """
 import dataclasses
 import decimal
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from entrobound import (
@@ -110,7 +112,7 @@ class TestMinValidM:
         assert min_valid_M(1, L) == 11 == min_valid_M(np.int64(1), np.float64(L))
         with pytest.raises(ValidityError, match="minimum bin count 11 "):
             total_bound(BoundParams(1, L, 10, 1000, 0.1))
-        assert BoundParams(1, L, 11, 1000, 0.1).valid_for_theorem
+        assert BoundParams(1, L, 11, 1000, 0.1).M == 11
 
     @staticmethod
     def _assert_exact_ceiling(K, L):
@@ -391,9 +393,17 @@ class TestUlpBudget:
 
 class TestBoundParams:
     def test_validity_flag(self):
-        assert BoundParams(1, 4.0, 9, 100, 0.1).valid_for_theorem
-        assert not BoundParams(1, 4.0, 8, 100, 0.1).valid_for_theorem
-        assert BoundParams(2, 1.0, 8, 100, 0.1).valid_for_theorem
+        assert BoundParams(1, 4.0, 9, 100, 0.1).M == 9
+        with pytest.raises(ValidityError):
+            BoundParams(1, 4.0, 8, 100, 0.1)
+        assert BoundParams(2, 1.0, 8, 100, 0.1).M == 8
+
+    def test_below_threshold_refused_at_construction(self):
+        """The knife edge: the float threshold is below 10, the exact one above."""
+        with pytest.raises(ValidityError, match="minimum bin count 11 "):
+            BoundParams(1, 5.832592320934506, 10, 1000, 0.1)
+        with pytest.raises(ValidityError, match="minimum bin count 9 for K=1, L=4.0;"):
+            BoundParams(np.int64(1), 4.0, np.int32(8), 100, 0.1)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -404,6 +414,7 @@ class TestBoundParams:
             dict(K=1, L=1.0, M=5, N=0, delta=0.5),
             dict(K=1, L=1.0, M=5, N=1, delta=0.0),
             dict(K=1, L=1.0, M=5, N=1, delta=1.0),
+            dict(K=1, L=4.0, M=8, N=100, delta=1.5),  # fields are checked before M's threshold
         ],
     )
     def test_invalid_fields(self, kwargs):
@@ -501,6 +512,23 @@ def _reference_optimize_M(K, L, N, delta) -> tuple[int, ConfidenceBound]:
     return best_M, total_bound(BoundParams(K, L, best_M, N, delta))
 
 
+def _reference_bisection(K, L, N, delta) -> tuple[int, ConfidenceBound]:
+    """optimize_M's bisection as it ran before its terms were formed once per
+    search: a BoundParams and a total_bound for every M it evaluates."""
+    lo, hi = _search_range(K, L, N)
+
+    def objective(M: int) -> float:
+        return total_bound(BoundParams(K, L, M, N, delta)).total
+
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if objective(mid + 1) < objective(mid):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo, total_bound(BoundParams(K, L, lo, N, delta))
+
+
 def _bits(result) -> tuple:
     """(M, every bound field as its exact float bits) of an optimize_M result."""
     M, bound = result
@@ -532,6 +560,21 @@ _IN_USE = sorted({
     (1, 4.0, 100_000, 0.1),                # optimize_M, estimate, coverage examples
     (1, 8.0, 100_000, 0.1 / 3.0), (2, 8.0, 100_000, 0.1 / 3.0),  # mi-estimate example
 })
+
+
+@st.composite
+def _search_case(draw):
+    """(K, L, N, delta): L log-uniform over the positive floats, or a few ulps
+    from an L whose exact validity threshold is an integer."""
+    K = draw(st.sampled_from([1, 2, 3, 20, 21, 40]))
+    if draw(st.booleans()):
+        L = math.exp(draw(st.floats(math.log(5e-324), math.log(1.7976931348623157e308))))
+    else:
+        L = lipschitz_at_threshold(K, draw(st.integers(1, 2**20)))
+        for _ in range(draw(st.integers(0, 4))):
+            L = math.nextafter(L, draw(st.sampled_from([0.0, math.inf])))
+    assume(0.0 < L < math.inf)
+    return K, L, draw(st.integers(2, 10**12)), draw(st.floats(1e-12, 0.999))
 
 
 class TestOptimizeM:
@@ -598,19 +641,59 @@ class TestOptimizeM:
         assert checked > 300
 
     def test_logarithmic_evaluation_count(self, monkeypatch):
+        """Each evaluation of the total forms the empirical-bias term once, and
+        so does the closing total_bound."""
         calls = 0
+        term = bounds._empirical_term
 
-        def counted(params):
+        def counted(K, M, N):
             nonlocal calls
             calls += 1
-            return total_bound(params)
+            return term(K, M, N)
 
-        monkeypatch.setattr(bounds, "total_bound", counted)
+        monkeypatch.setattr(bounds, "_empirical_term", counted)
         for K, L, N, delta in _GRID + _IN_USE + [(1, 1.2e4, 11 * 10**11, 0.999)]:
             lo, hi = _search_range(K, L, N)
             calls = 0
             optimize_M(K, L, N, delta)
             assert 1 <= calls <= 2 * math.ceil(math.log2(hi - lo + 1)) + 1, (K, L, N, delta)
+
+    def test_eta_evaluated_once_per_search(self, monkeypatch):
+        """The search's own eta, then one each for the closing BoundParams and
+        total_bound."""
+        calls = 0
+
+        def counted(K, L):
+            nonlocal calls
+            calls += 1
+            return eta(K, L)
+
+        monkeypatch.setattr(bounds, "eta", counted)
+        optimize_M(2, 8.0, 10**5, 0.1)
+        assert calls <= 3
+
+    @settings(max_examples=36)
+    @given(case=_search_case())
+    @example(case=(1, 5e-324, 10**12, 0.1))
+    @example(case=(2, 1.7976931348623157e308, 1000, 0.1))
+    @example(case=(40, 1e-300, 10**12, 0.5))
+    @example(case=(1, 1.2e4, 11 * 10**11, 0.999))
+    def test_matches_reference_search_beyond_the_grid(self, case):
+        """K on both sides of the factorial cutoff and where M^K leaves float
+        range, L across the float range and on integer thresholds, N to 10^12.
+
+        Where [lo, hi] has at most 4096 values the old search is exhaustive,
+        so it gives the first argmin.  Beyond that its +-1 descent stops at
+        float local minima (11 bins and 1 ulp off on the last example) and
+        walks plateaus of millions of bins, so there the reference is the
+        bisection on total_bound.  The knife-edge L send every BoundParams to
+        _exact_ceiling, which is cached here for speed only.
+        """
+        lo, hi = _search_range(*case[:3])
+        reference = _reference_optimize_M if hi - lo < _MAX_CANDIDATES else _reference_bisection
+        with mock.patch.object(bounds, "_exact_ceiling", functools.cache(bounds._exact_ceiling)):
+            expected = _bits(reference(*case))
+        assert _bits(optimize_M(*case)) == expected, case
 
     def test_float_local_minimum_on_a_wide_range(self):
         """Far beyond the old grid's resolution, neither neighbour beats the result."""

@@ -152,6 +152,20 @@ def test_estimator_that_names_no_program(value, in_config, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("demo, c, delta", [
+    ("prop1-demo", "1", "1e-308"), ("mi-demo", "1", "1e-308"), ("kl-demo", "1", "1e-308"),
+    ("prop1-demo", "1e308", "0.1"), ("mi-demo", "1e308", "0.1"),
+], ids=["prop1-delta", "mi-delta", "kl-delta", "prop1-c", "mi-c"])
+def test_demo_whose_planted_parameter_overflows(demo, c, delta, capsys):
+    """Refused before any trial, in one line that names C and delta."""
+    code, out, err = run_cli(
+        [demo, "--c", c, "--delta", delta, "--n", "100", "--trials", "10"], capsys
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: invalid: C = {float(c)!r} and delta = {float(delta)!r} ")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--k", "1"],
     ["mi-estimate", "--k1", "1", "--k2", "1"],

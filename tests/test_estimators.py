@@ -1,6 +1,7 @@
 """Certified estimators, their coverage, and the adversarial demos."""
 import dataclasses
 import math
+import re
 import sys
 import warnings
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from entrobound import (
+    BoundParams,
     DemoReport,
     EstimatorFailure,
     ExternalEstimator,
@@ -39,7 +41,7 @@ class TestEstimateEntropyCertified:
         report = estimate_entropy_certified(pts, 4.0, 0.1)
         assert abs(report.estimate - TENT_H1) <= report.bound.total
         assert report.components is None
-        assert report.params.valid_for_theorem
+        assert report.params == BoundParams(1, 4.0, report.params.M, 10**5, 0.1)
 
     def test_single_sample_degenerate(self):
         M = min_valid_M(1, 4.0)
@@ -571,6 +573,28 @@ def test_delta_whose_planted_rate_underflows(demo):
     """Refused before any trial, where delta/(2N) rounds to 0."""
     with pytest.raises(ValueError, match="underflows to 0"):
         demo(C=1.0, delta=5e-324, N=100, trials=10, seed=1)
+
+
+@pytest.mark.parametrize("demo, C, delta", [
+    (prop1_demo, 1.0, 1e-308), (mi_adversary_demo, 1.0, 1e-308), (kl_demo, 1.0, 1e-308),
+    (prop1_demo, 1e308, 0.1), (mi_adversary_demo, 1e308, 0.1),
+], ids=["prop1-delta", "mi-delta", "kl-delta", "prop1-C", "mi-C"])
+def test_planted_parameter_beyond_float_range(demo, C, delta):
+    """Refused before the pilot, naming C and delta: no estimator is called."""
+    def never(rows):
+        raise AssertionError("the pilot ran")
+
+    message = f"C = {C!r} and delta = {delta!r} put the planted parameter a beyond float range"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        demo(C=C, delta=delta, N=100, trials=10, seed=1, estimator=never)
+
+
+@pytest.mark.parametrize("demo", [prop1_demo, mi_adversary_demo])
+def test_calibrated_b_beyond_float_range(demo):
+    """a is finite at b = 0 but not at the pilot's b, so the error names b."""
+    message = "the calibrated b = 1e+308 with C = 1.0 and delta = 0.1 puts the planted"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        demo(C=1.0, delta=0.1, N=100, trials=10, seed=1, estimator=lambda rows: 1e308)
 
 
 class TestExternalEstimatorProtocol:

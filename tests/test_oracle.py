@@ -67,10 +67,12 @@ class TestNumericEntropy:
         assert result.value == pytest.approx(TENT_H1 - math.log(2.0), abs=1e-5)
         assert result.value == pytest.approx(-0.88629, abs=1e-4)
 
-    def test_level_cap_raises(self):
-        rough = uniform_density(1)
-        with pytest.raises(QuadratureError):
-            integrate_box(rough.pdf, [[0.0, 1.0]], tol=1e-30, max_levels=3)
+    def test_level_cap_raises(self, monkeypatch):
+        """With a 2^12-point budget, grids of 1024, 2048 and 4096 points differ
+        by more than tol, so the 8192-point grid is refused."""
+        monkeypatch.setattr(oracle, "_MAX_POINTS_PER_LEVEL", 2**12)
+        with pytest.raises(QuadratureError, match="4096 points-per-level budget"):
+            integrate_box(lambda pts: pts[:, 0] ** 2, [[0.0, 1.0]], tol=1e-30)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
