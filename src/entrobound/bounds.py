@@ -248,9 +248,14 @@ def total_bound(params: BoundParams) -> ConfidenceBound:
     ``params`` met the validity threshold when it was constructed, so the
     terms are computed without checking it again.
     """
-    K, L, M, N = params.K, params.L, params.M, params.N
-    quant = _quantization_term(K, L, M, eta(K, L))
-    stat = _statistical_term(N, params.delta)
+    K, L = params.K, params.L
+    return _bound(K, L, params.M, params.N, params.delta, eta(K, L))
+
+
+def _bound(K: int, L: float, M: int, N: int, delta: float, eta_KL: float) -> ConfidenceBound:
+    """The three terms at a valid M, given eta_KL = eta(K, L), and their sum."""
+    quant = _quantization_term(K, L, M, eta_KL)
+    stat = _statistical_term(N, delta)
     emp = _empirical_term(K, M, N)
     return ConfidenceBound(quant, stat, emp, quant + stat + emp)
 
@@ -276,7 +281,10 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
     otherwise, so ties break toward smaller M (cheaper histograms).  It
     evaluates the total at most 2*ceil(log2(M_cap - min_valid_M + 1)) times,
     as q(M) + stat + e(M) with eta, the threshold and stat formed once per
-    search: ``total_bound``'s float operations in its order.
+    search: ``total_bound``'s float operations in its order.  The returned
+    bound is ``total_bound``'s at the chosen M, formed from the same eta;
+    that M is valid by construction, so the search decides the threshold
+    once and builds no ``BoundParams``.
     """
     K = _validate_K_L(K, L)
     N = as_int("N", N, minimum=2)
@@ -299,4 +307,4 @@ def optimize_M(K: int, L: float, N: int, delta: float) -> tuple[int, ConfidenceB
         else:
             hi = mid
 
-    return lo, total_bound(BoundParams(K, L, lo, N, delta))
+    return lo, _bound(K, L, lo, N, delta, eta_KL)

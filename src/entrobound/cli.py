@@ -26,6 +26,10 @@ ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
 ``mi-estimate`` on more than 2^16 rows runs its three entropy terms on a pool
 of ENTROBOUND_THREADS threads.  Histograms are always built serially, so
 pools never nest.  Output is the same for any thread count.
+``estimate --density`` and each ``coverage`` trial hand the estimator a
+``LazySample``, which is drawn block by block as it is binned, so neither
+holds an N-row sample; ``mi-estimate --density`` still draws its columns
+whole.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import as_int, optimize_M
-from .densities import sample, tent_density, uniform_density
+from .densities import LazySample, sample, tent_density, uniform_density
 from .errors import EntroboundError, IngestError, OutOfSupportError, ValidityError
 from .estimators import (
     ExternalEstimator,
@@ -279,12 +283,12 @@ def _load_density(config: argparse.Namespace, option: str):
         raise ValueError(f"--{option}: {exc}") from None
 
 
-def _entropy_samples(config: argparse.Namespace) -> np.ndarray:
+def _entropy_samples(config: argparse.Namespace):
+    """The --input array, or the --density draw as a ``LazySample``."""
     if config.input is not None:
         return ingest(config.input, config.format, k=config.k)
     _require(config, "n")
-    model = _load_density(config, "k")
-    return sample(model, config.n, config.seed)
+    return LazySample(_load_density(config, "k"), config.n, config.seed)
 
 
 def _cmd_bound(config: argparse.Namespace):
@@ -350,8 +354,8 @@ def _cmd_coverage(config: argparse.Namespace):
 
     def one_trial(t: int) -> dict:
         seed_t = split(config.seed, t)
-        pts = sample(model, config.n, seed_t)
-        report = estimate_entropy_certified(pts, config.l, config.delta, M=params.M)
+        draw = LazySample(model, config.n, seed_t)
+        report = estimate_entropy_certified(draw, config.l, config.delta, M=params.M)
         abs_err = abs(report.estimate - truth)
         return {
             "row": "trial",

@@ -13,8 +13,15 @@ Models are immutable; samplers take an explicit seed (no global RNG state),
 so parallel trials with split seeds are reproducible.  One builder,
 ``_iid_cube``, makes every law of K i.i.d. coordinates on a cube [0, s]^K:
 the tent, the uniform and the compressed tent.  Its samplers draw in place:
-they turn the fresh array of uniform draws into the sample itself, with no
-second (N, K) array.
+its ``fill`` turns a buffer of uniform draws into the sample itself, with no
+second array, and its ``sampler`` is that fill over a fresh (N, K) array.
+The generator is counter-based and the fill works row by row, so the next b
+rows of a running generator, drawn into a reused (b, K) buffer, are the same
+bits as rows of one whole draw.  ``LazySample`` uses that: it stands for
+``sample(model, N, seed)`` and draws it block by block, each block through
+``sample``, for a consumer that reads the rows once, as binning does.  The
+mixtures draw their branches in one pass over all N rows, so they have no
+fill and are only drawn whole.
 """
 from __future__ import annotations
 
@@ -44,6 +51,7 @@ __all__ = [
     "discrete_mi_adversary",
     "kl_step_pair",
     "sample",
+    "LazySample",
     "affine_rescale",
 ]
 
@@ -54,9 +62,13 @@ class DensityModel:
 
     ``pdf`` maps an (n, K) array of points to an (n,) array of density
     values (zero outside the support).  ``sampler`` maps a numpy Generator
-    and a count to an (n, K) array of i.i.d. draws.  ``lipschitz_L`` is an
-    l1-norm Lipschitz constant when one is known, and ``analytic_entropy``
-    the exact differential entropy in nats when available.
+    and a count to an (n, K) array of i.i.d. draws.  ``fill``, when the law
+    has one, draws in place: it writes the next n rows of the generator's
+    stream into a C-contiguous (n, K) float64 array and returns it, so
+    consecutive fills give the rows of one ``sampler`` call, bit for bit.
+    ``lipschitz_L`` is an l1-norm Lipschitz constant when one is known, and
+    ``analytic_entropy`` the exact differential entropy in nats when
+    available.
     """
 
     K: int
@@ -66,6 +78,7 @@ class DensityModel:
     lipschitz_L: float | None = None
     analytic_entropy: float | None = None
     name: str = ""
+    fill: Callable[[np.random.Generator, np.ndarray], np.ndarray] | None = None
 
 
 def _points(x, K: int) -> np.ndarray:
@@ -149,17 +162,19 @@ def _iid_cube(
             return np.prod(pdf1(pts), axis=1)
         return np.prod(pdf1(pts / side), axis=1) * scale
 
-    def sampler(rng: np.random.Generator, n: int) -> np.ndarray:
-        u = ppf1(rng.random((n, K)))
+    def fill(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+        rng.random(out=out)
+        ppf1(out)
         if not unit:
-            u *= side
-        return u
+            out *= side
+        return out
 
     return DensityModel(
         K=K,
         support=np.array([[0.0, side]] * K),
         pdf=pdf,
-        sampler=sampler,
+        sampler=lambda rng, n: fill(rng, np.empty((n, K))),
+        fill=fill,
         lipschitz_L=lipschitz_L,
         analytic_entropy=entropy,
         name=name,
@@ -495,16 +510,64 @@ def kl_step_pair(a: float, k: float) -> tuple[DensityModel, DensityModel]:
 # ---------------------------------------------------------------------------
 
 
-def sample(model: DensityModel, N: int, seed: int) -> np.ndarray:
-    """N i.i.d. draws from the model as an (N, K) array, deterministic in seed."""
+def sample(model: DensityModel, N: int, seed, out: np.ndarray | None = None) -> np.ndarray:
+    """N i.i.d. draws from the model as an (N, K) array, deterministic in seed.
+
+    ``seed`` is an integer seed or a running ``np.random.Generator``, whose
+    next N rows are drawn.  With ``out``, a C-contiguous (N, K) float64
+    array, the rows are drawn into it by the model's ``fill`` and ``out`` is
+    returned; a model without one raises ``ValueError``.
+    """
     N = as_int("N", N)
-    out = np.asarray(model.sampler(generator(seed), N), dtype=np.float64)
+    rng = seed if isinstance(seed, np.random.Generator) else generator(seed)
+    if out is None:
+        out = np.asarray(model.sampler(rng, N), dtype=np.float64)
+    elif model.fill is not None and out.shape == (N, model.K):
+        model.fill(rng, out)
+    else:
+        raise ValueError(f"cannot draw {N} rows of {model.name!r} into an array "
+                         f"of shape {out.shape}")
     if out.shape != (N, model.K):
         raise RuntimeError(
             f"sampler for {model.name!r} returned shape {out.shape}, "
             f"expected {(N, model.K)}"
         )
     return out
+
+
+@dataclass(frozen=True)
+class LazySample:
+    """The rows of ``sample(model, N, seed)``, drawn block by block on demand.
+
+    ``shape`` is (N, K) and nothing is drawn until ``blocks`` runs, so a
+    consumer that reads the rows once, as binning does, never holds all N of
+    them.  The model must have a ``fill``.
+    """
+
+    model: DensityModel
+    N: int
+    seed: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "N", as_int("N", self.N))
+        if self.model.fill is None:
+            raise ValueError(f"{self.model.name!r} cannot be drawn block by block")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.N, self.model.K)
+
+    def blocks(self, rows: int):
+        """(start, block) for consecutive blocks of at most ``rows`` rows.
+
+        Every block is drawn by ``sample`` from one running generator into
+        one (rows, K) buffer, so it holds only until the next is drawn.
+        """
+        rng = generator(self.seed)
+        buffer = np.empty((min(rows, self.N), self.model.K))
+        for start in range(0, self.N, rows):
+            b = min(rows, self.N - start)
+            yield start, sample(self.model, b, rng, out=buffer[:b])
 
 
 @dataclass(frozen=True, eq=False)

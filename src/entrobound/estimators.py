@@ -60,6 +60,7 @@ from .histogram import (
     _bin_count,
     _bin_ranks,
     _count_entropy,
+    _rows,
     estimate_differential_entropy,
 )
 from .oracle import kl_true_divergence
@@ -166,14 +167,15 @@ def _plan(K: int, L: float, N: int, delta: float, M: int | None = None):
 
     M defaults to the bound-optimal count, refused above 2^53, which float64
     binning cannot resolve.  A given M below the validity threshold raises
-    ``ValidityError``; one above 2^53 is left for binning to refuse.
+    ``ValidityError``; one above 2^53 is left for binning to refuse.  Either
+    way one ``BoundParams`` is built and its ``total_bound`` taken, so a plan
+    decides the threshold at most twice: once in the search, once here.
     """
     if M is None:
-        M, bound = optimize_M(K, L, N, delta)
+        M = optimize_M(K, L, N, delta)[0]
         if M > _MAX_BINS:
             raise ValueError(f"L = {L!r} is too large for float64 binning with K = {K} and "
                              f"N = {N}: the bound-optimal M exceeds 2^53 = {_MAX_BINS}")
-        return BoundParams(K, L, M, N, delta), bound
     params = BoundParams(K, L, M, N, delta)
     return params, total_bound(params)
 
@@ -183,14 +185,16 @@ def estimate_entropy_certified(
 ) -> EstimateReport:
     """Histogram entropy estimate with its confidence bound.
 
-    Samples must lie in [0,1]^K.  When M is omitted it is chosen to minimize
-    the bound; when given it must be at least the validity threshold.  The
-    certificate: P(|estimate - h(p)| <= bound.total) >= 1 - delta for every
-    L-Lipschitz density p on [0,1]^K.
+    Samples must lie in [0,1]^K.  They are an (N, K) array or a row stream,
+    such as a ``LazySample``, which is planned from its shape and binned as
+    it is drawn.  When M is omitted it is chosen to minimize the bound; when
+    given it must be at least the validity threshold.  The certificate:
+    P(|estimate - h(p)| <= bound.total) >= 1 - delta for every L-Lipschitz
+    density p on [0,1]^K.
     """
-    pts = _as_points(samples)
-    params, bound = _plan(int(pts.shape[1]), L, int(pts.shape[0]), delta, M)
-    estimate = estimate_differential_entropy(pts, params.M)
+    rows = _rows(samples)
+    params, bound = _plan(int(rows.shape[1]), L, int(rows.shape[0]), delta, M)
+    estimate = estimate_differential_entropy(rows, params.M)
     return EstimateReport(estimate=estimate, bound=bound, params=params)
 
 
@@ -573,6 +577,9 @@ def kl_demo(
 
     def plant(c: float, a: float):
         k = c + C + math.exp(-1.0)
+        if not (k > 0.0 and math.isfinite(k)):
+            raise ValueError(f"the calibrated c = {c!r} with C = {C!r} gives the threshold "
+                             f"k = c + C + 1/e = {k!r}, which is not a positive finite real")
         p_model, q_model = kl_step_pair(a, k)
 
         def attack_draw(t: int) -> np.ndarray:

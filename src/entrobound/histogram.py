@@ -24,14 +24,23 @@ buffer, which is the bin index except within a few ulps of a bin edge;
 only a block with a coordinate there goes through the exact edge fix-up
 (see ``_quantize_block``).
 
-``build_histogram`` counts a small grid (M^K <= ``_BLOCK_ROWS``) block by
-block into one dense tally, so it forms no N-row array at all.  Larger
-grids go through ``_bin_keys``, which folds each block's K index rows into
-row-major int64 keys while M^K < 2^62, and ``_tally``, which counts the
-keys with a dense ``bincount`` only when M^K <= 4N, otherwise by sorting
-them, so memory stays O(N); ``_bin_ranks`` gives each row the rank of its
-bin among the occupied ones, for ``estimators.discrete_mi_plugin``.  Only
-these read the key layout.
+``build_histogram`` takes an (N, K) array or a row stream: any object with
+a ``shape`` of (N, K) and a ``blocks(rows)`` method that yields (start,
+block) for consecutive (b, K) float64 blocks, b <= rows, each valid until
+the next is drawn.  ``densities.LazySample`` is one; binning it draws the
+sample as it goes, so the sample is never held whole.  Both feed one
+block-counting loop, ``_dense_counts``, on a small grid
+(M^K <= ``_BLOCK_ROWS``): each block's keys go into one dense tally, and no
+N-row array is formed.  A stream on a grid of up to 4N bins takes that loop
+too, gathering the keys of a few blocks per ``bincount`` (see
+``_KEY_ROWS``).  Other grids go through ``_bin_keys``, which folds each
+block's K index rows into row-major int64 keys while M^K < 2^62, and
+``_tally``, which counts the keys with a dense ``bincount`` only when
+M^K <= 4N, otherwise by sorting them, so memory stays O(N); an array keeps
+this path up to 4N bins because one ``bincount`` over N keys is faster than
+the gathered tally.  ``_bin_ranks`` gives each row the rank of its bin among
+the occupied ones, for ``estimators.discrete_mi_plugin``.  Only these read
+the key layout.
 
 A histogram is two arrays in row-major bin order: ``keys``, its occupied
 bins (at most N), and ``counts``, their counts.  The plug-in estimate reads
@@ -63,6 +72,11 @@ __all__ = [
 # M = 7644 term of mi-estimate, 2^13 rows took 8.4 / 28 ms against
 # 6.7 / 12 ms at 2^15, and 2^16 was no faster than 2^15 on any term.
 _BLOCK_ROWS = 1 << 15
+
+# Most keys a stream gathers per bincount on a grid above _BLOCK_ROWS bins,
+# 8 MiB.  Each bincount adds all M^K bins into the tally, so the buffer holds
+# whole blocks enough for M^K keys, up to this cap.
+_KEY_ROWS = 32 * _BLOCK_ROWS
 
 # Each thread's block workspace, see _block_buffers.
 _workspace = threading.local()
@@ -227,21 +241,39 @@ def _fold_keys(idx: np.ndarray, M: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
-    """Row-major flat bin key of every row of (n, K) points; M must pass ``_bin_count``.
+def _rows(samples):
+    """A row stream as it is; anything else as ``_as_points`` makes it."""
+    return samples if hasattr(samples, "blocks") else _as_points(samples)
 
-    Rows are quantized in blocks of ``_BLOCK_ROWS`` by ``_quantize_block``,
-    and each block's K index rows are folded straight into its slice of the
-    int64 keys.  From M^K >= 2^62 on a flat key could overflow int64, and
-    the result is the (n, K) bin index rows instead.  A row outside
-    [0, 1]^K raises ``OutOfSupportError`` naming the first one.
+
+def _blocks(rows):
+    """(start, block) for consecutive blocks of at most ``_BLOCK_ROWS`` rows.
+
+    ``rows`` is an (n, K) array, whose blocks are views of it, or a row
+    stream, whose blocks each hold only until the next is drawn.
     """
-    n, k = points.shape
+    if isinstance(rows, np.ndarray):
+        return ((start, rows[start:start + _BLOCK_ROWS])
+                for start in range(0, rows.shape[0], _BLOCK_ROWS))
+    return rows.blocks(_BLOCK_ROWS)
+
+
+def _bin_keys(rows, M: int) -> np.ndarray:
+    """Row-major flat bin key of every row; M must pass ``_bin_count``.
+
+    ``rows`` is an (n, K) array or a row stream.  Rows are quantized in
+    blocks of ``_BLOCK_ROWS`` by ``_quantize_block``, and each block's K
+    index rows are folded straight into its slice of the int64 keys.  From
+    M^K >= 2^62 on a flat key could overflow int64, and the result is the
+    (n, K) bin index rows instead.  A row outside [0, 1]^K raises
+    ``OutOfSupportError`` naming the first one.
+    """
+    n, k = rows.shape
     packed = M**k < 2**62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
-    for start in range(0, n, _BLOCK_ROWS):
-        idx = _quantize_block(points[start:start + _BLOCK_ROWS], start, M)
-        key = keys[start:start + _BLOCK_ROWS]
+    for start, block in _blocks(rows):
+        idx = _quantize_block(block, start, M)
+        key = keys[start:start + len(block)]
         if packed:
             _fold_keys(idx, M, out=key)
         else:
@@ -249,18 +281,37 @@ def _bin_keys(points: np.ndarray, M: int) -> np.ndarray:
     return keys
 
 
-def _dense_counts(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied keys and counts of (n, K) points on a grid of M^K <= ``_BLOCK_ROWS`` bins.
+def _dense_counts(rows, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Occupied keys and counts of the rows (an array or a row stream) on one
+    dense tally of all M^K bins.
 
-    Each block's keys are folded in place into the workspace and counted
-    into one dense tally, so no N-row array is formed.  Same result as
-    ``_tally(_bin_keys(points, M), M, K)``.
+    On a grid of at most ``_BLOCK_ROWS`` bins each block's keys are folded
+    in place in the workspace and counted at once.  A larger grid gathers the
+    keys of consecutive blocks in one buffer, of whole blocks enough for M^K
+    keys but at most ``_KEY_ROWS``, and counts them when it is full, so no
+    N-row array is formed either way.  Same result as
+    ``_tally(_bin_keys(rows, M), M, K)``.
     """
-    size = M ** points.shape[1]
+    n, k = rows.shape
+    size = M**k
     tally = np.zeros(size, dtype=np.int64)
-    for start in range(0, points.shape[0], _BLOCK_ROWS):
-        idx = _quantize_block(points[start:start + _BLOCK_ROWS], start, M)
-        tally += np.bincount(_fold_keys(idx, M, out=idx[0]), minlength=size)
+    keys = None
+    if size > _BLOCK_ROWS:
+        keys = np.empty(min(n, _KEY_ROWS, -(-size // _BLOCK_ROWS) * _BLOCK_ROWS), dtype=np.int64)
+    used = 0
+    for start, block in _blocks(rows):
+        idx = _quantize_block(block, start, M)
+        if keys is None:
+            tally += np.bincount(_fold_keys(idx, M, out=idx[0]), minlength=size)
+            continue
+        if used + len(block) > keys.size:
+            tally += np.bincount(keys[:used], minlength=size)
+            used = 0
+        _fold_keys(idx, M, out=keys[used:used + len(block)])
+        used += len(block)
+    if used:
+        tally += np.bincount(keys[:used], minlength=size)
+    keys = None  # release the buffer before the two occupied-bin arrays
     occupied = np.flatnonzero(tally)
     return occupied, tally[occupied]
 
@@ -294,16 +345,19 @@ def _bin_ranks(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_histogram(samples, M: int) -> SparseHistogram:
-    """Bin counts of the samples in row-major bin order; independent of sample order."""
+    """Bin counts of the samples in row-major bin order; independent of sample order.
+
+    ``samples`` is an (N, K) array or a row stream (see the module notes).
+    """
     M = _bin_count(M)
-    points = _as_points(samples)
-    n, k = points.shape
+    rows = _rows(samples)
+    n, k = rows.shape
     if n == 0:
         raise ValueError("cannot build a histogram from zero samples")
-    if M**k <= _BLOCK_ROWS:
-        keys, counts = _dense_counts(points, M)
+    if M**k <= _BLOCK_ROWS or (not isinstance(rows, np.ndarray) and M**k <= 4 * n):
+        keys, counts = _dense_counts(rows, M)
     else:
-        keys, counts = _tally(_bin_keys(points, M), M, k)
+        keys, counts = _tally(_bin_keys(rows, M), M, k)
     return SparseHistogram(K=k, M=M, N=n, keys=keys, counts=counts)
 
 

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import math
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrobound import cli, oracle
+from entrobound import cli, densities, oracle
 from entrobound.densities import tent_density
 from entrobound.cli import ingest, main
 from entrobound.errors import IngestError
@@ -166,6 +167,21 @@ def test_demo_whose_planted_parameter_overflows(demo, c, delta, capsys):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("c, printed", [("1", '"inf"'), ("1e308", "1e308")],
+                         ids=["estimate-inf", "c-and-estimate-huge"])
+def test_kl_threshold_overflow_names_c(c, printed, capsys):
+    """An external estimator's pilot puts k = c + C + 1/e beyond float range:
+    one line naming the calibrated c and C, exit 2."""
+    estimator = f"{shlex.quote(sys.executable)} -c 'print({printed})'"
+    code, out, err = run_cli(["kl-demo", "--c", c, "--delta", "0.1", "--n", "100",
+                              "--trials", "10", "--estimator", estimator], capsys)
+    pilot = float(printed.strip('"'))
+    assert (code, out) == (2, "")
+    assert err == (f"error: invalid: the calibrated c = {pilot!r} with C = {float(c)!r} "
+                   "gives the threshold k = c + C + 1/e = inf, which is not a positive "
+                   "finite real\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["estimate", "--k", "1"],
     ["mi-estimate", "--k1", "1", "--k2", "1"],
@@ -239,10 +255,11 @@ def test_optimize_m_prints_bin_count_above_2_53(capsys):
 def test_out_of_memory_is_one_line(argv, tmp_path, monkeypatch, capsys):
     message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000, 1)"
 
-    def sample(model, n, seed):
+    def sample(model, n, seed, out=None):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "sample", sample)
+    # Both commands draw their rows block by block, through densities.sample.
+    monkeypatch.setattr(densities, "sample", sample)
     out = tmp_path / "r.csv"
     code, stdout, err = run_cli(
         argv + ["--density", "tent", "--l", "4", "--n", "10000000000000", "--delta", "0.1",
@@ -544,6 +561,28 @@ class TestCoverageCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("k, l", [("2", "8"), ("3", "16")], ids=["small-grid", "gathered-keys"])
+    def test_streamed_trials_match_drawn_samples(self, k, l, tmp_path, capsys):
+        """Trials of 2B + 7 rows, binned as drawn, write the same CSV bytes on
+        1 and 3 threads, and each estimate is that of the trial's drawn array."""
+        n, trials, seed = 2**16 + 7, 4, 12
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"cov_{threads}.csv"
+            code, _, _ = run_cli(
+                ["coverage", "--density", "tent", "--k", k, "--l", l, "--n", str(n),
+                 "--delta", "0.1", "--trials", str(trials), "--seed", str(seed),
+                 "--threads", threads, "--out", str(out)], capsys)
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        rows = outputs[0].decode().splitlines()[1:-1]
+        assert len(rows) == trials
+        for t, row in enumerate(rows):
+            drawn = densities.sample(tent_density(int(k)), n, cli.split(seed, t))
+            expected = cli.estimate_entropy_certified(drawn, float(l), 0.1)
+            assert row.split(",")[3] == cli._fmt(expected.estimate)
+
     def test_unparsable_thread_env_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("ENTROBOUND_THREADS", "two")
         code, _, err = run_cli(
@@ -616,14 +655,15 @@ class TestOutChecked:
 
     @pytest.fixture
     def drawn(self, monkeypatch):
+        """The calls that draw rows: estimate and coverage draw through densities.sample."""
         calls = []
-        real = cli.sample
+        real = densities.sample
 
         def spy(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample", spy)
+        monkeypatch.setattr(densities, "sample", spy)
         return calls
 
     @pytest.mark.parametrize("target", ["directory", "missing parent", "sidecar directory"])
@@ -647,7 +687,8 @@ class TestOutChecked:
         out = tmp_path / "r.csv"
         code, _, err = run_cli(_ESTIMATE_ARGS + ["--m", "2", "--out", str(out)], capsys)
         assert code == 2 and err.startswith("error: validity:")
-        assert drawn and list(tmp_path.iterdir()) == []  # no CSV, no sidecar
+        # The plan refuses M before a row is drawn; no CSV, no sidecar.
+        assert drawn == [] and list(tmp_path.iterdir()) == []
 
     def test_failed_sidecar_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         """A write that fails after the CSV (a full disk) leaves no CSV and no temporary."""

@@ -27,7 +27,7 @@ from entrobound import (
     tent_density,
     uniform_density,
 )
-from entrobound.densities import _PPF_SLICE, DiscreteMiAdversary, _tent1_ppf
+from entrobound.densities import _PPF_SLICE, DiscreteMiAdversary, LazySample, _tent1_ppf
 from entrobound.rng import generator, split
 from reference import collision_probability, collision_upper_bound, trapezoid_entropy
 
@@ -204,6 +204,35 @@ class TestSampling:
         }
         draws = sample(models[name], 10_000, 20261019)
         assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
+
+    @pytest.mark.parametrize("rows", [2**15, 1000, 7])
+    @pytest.mark.parametrize("name", ["tent-1", "tent-2", "tent-3", "low-entropy-alt-2",
+                                      "uniform-2"])
+    def test_lazy_sample_blocks_are_the_sample(self, name, rows):
+        """The blocks of one running generator, drawn into one buffer, hold
+        the pinned sample's bits, and a block ends where the sample does."""
+        models = {"tent-1": tent_density(1), "tent-2": tent_density(2),
+                  "tent-3": tent_density(3), "low-entropy-alt-2": low_entropy_alt(2, -3.0),
+                  "uniform-2": uniform_density(2)}
+        lazy = LazySample(models[name], 10_000, 20261019)
+        assert lazy.shape == (10_000, models[name].K)
+        starts, blocks = zip(*((start, block.copy()) for start, block in lazy.blocks(rows)))
+        assert list(starts) == list(range(0, 10_000, rows))
+        draws = np.concatenate(blocks)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == SAMPLE_DIGESTS[name]
+
+    def test_draws_into_a_buffer_only_with_a_fill(self):
+        tent = tent_density(1)
+        mixture = prop1_mixture(ContaminationSpec(tent, low_entropy_alt(1, -1.0), 0.3,
+                                                  a=abs(-1.0 - TENT_H1)))
+        with pytest.raises(ValueError, match="cannot draw 4 rows of 'contamination-mixture'"):
+            sample(mixture, 4, 1, out=np.empty((4, 1)))
+        with pytest.raises(ValueError, match=r"into an array of shape \(4, 2\)"):
+            sample(tent, 4, 1, out=np.empty((4, 2)))
+        with pytest.raises(ValueError, match="cannot be drawn block by block"):
+            LazySample(mixture, 4, 1)
+        with pytest.raises(ValueError, match="N must be an integer >= 1"):
+            LazySample(tent, 0, 1)
 
     def test_tent_ppf_matches_reference(self):
         """The in-place kernel against the two-branch formula, bit for bit."""

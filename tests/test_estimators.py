@@ -27,12 +27,28 @@ from entrobound import (
     tent_density,
     two_cell_kl_plugin,
 )
-from entrobound import discrete_mi_plugin, estimators
+from entrobound import bounds, discrete_mi_plugin, estimators
 from entrobound.histogram import _bin_keys, _count_entropy
 from entrobound.rng import generator, split
 from reference import collision_probability
 
 TENT_H1 = 0.5 - math.log(2.0)
+
+
+class TestPlan:
+    @pytest.mark.parametrize("K, L, N, delta", [(1, 4.0, 10**5, 0.1), (2, 8.0, 10**5, 0.1),
+                                                 (1, 5.832592320934506, 1000, 0.1)])
+    def test_threshold_decided_at_most_twice(self, K, L, N, delta, monkeypatch):
+        """Once in the search and once in the plan's one BoundParams; the
+        search's M and bound are the plan's, bit for bit."""
+        M, bound = bounds.optimize_M(K, L, N, delta)
+        calls = []
+        decide = bounds._min_valid_M
+        monkeypatch.setattr(bounds, "_min_valid_M", lambda *a: calls.append(a) or decide(*a))
+        params, planned = estimators._plan(K, L, N, delta)
+        assert len(calls) <= 2
+        assert params == BoundParams(K, L, M, N, delta)
+        assert planned == bound == bounds.total_bound(params)
 
 
 class TestEstimateEntropyCertified:
@@ -595,6 +611,17 @@ def test_calibrated_b_beyond_float_range(demo):
     message = "the calibrated b = 1e+308 with C = 1.0 and delta = 0.1 puts the planted"
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         demo(C=1.0, delta=0.1, N=100, trials=10, seed=1, estimator=lambda rows: 1e308)
+
+
+@pytest.mark.parametrize("C, estimate, k", [(1.0, math.inf, "inf"), (1e308, 1e308, "inf"),
+                                          (1.0, -5.0, "-3.6321205588285577")],
+                         ids=["c-inf", "C-and-c-huge", "c-negative"])
+def test_kl_threshold_not_positive_finite_names_c(C, estimate, k):
+    """k = c + C + 1/e beyond float range, or not positive, names the calibrated c and C."""
+    message = (f"the calibrated c = {estimate!r} with C = {C!r} gives the threshold "
+               f"k = c + C + 1/e = {k}, which is not a positive finite real")
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        kl_demo(C=C, delta=0.1, N=100, trials=10, seed=1, estimator=lambda rows: estimate)
 
 
 class TestExternalEstimatorProtocol:

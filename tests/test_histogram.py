@@ -21,6 +21,7 @@ from entrobound import (
     plugin_entropy,
 )
 from entrobound import estimate_entropy_certified, estimate_mi_certified, estimators, histogram
+from entrobound.densities import LazySample, sample, tent_density, uniform_density
 from entrobound.estimators import _default_threads, _map_ordered
 from entrobound.histogram import _count_entropy
 from entrobound.rng import generator
@@ -662,6 +663,72 @@ def test_counting_paths_agree_at_the_block_size(K, M, N, monkeypatch):
     assert bool(calls) == (M**K > _B)
     bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
     assert np.array_equal(_bins(dense), bins) and np.array_equal(dense.counts, counts)
+
+
+def _stream_grids(K, N):
+    """M with M^K at most B, just above B (and at most 4N), and just above 4N."""
+    def root(x):  # the largest M with M^K <= x
+        M = math.floor(x ** (1 / K))
+        while (M + 1) ** K <= x:
+            M += 1
+        while M**K > x:
+            M -= 1
+        return M
+
+    return [root(_B), root(_B) + 1, root(4 * N) + 1]
+
+
+@pytest.mark.parametrize("density", [tent_density, uniform_density], ids=["tent", "uniform"])
+@pytest.mark.parametrize("N", [_B - 1, _B, _B + 1, 3 * _B + 5])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_stream_counts_match_the_drawn_array(K, N, density, monkeypatch):
+    """A LazySample binned as it is drawn gives the histogram of the drawn
+    array, key for key: on the small grid, on the gathered-key tally up to 4N
+    bins, and on the N keys above 4N, the only grid that forms them."""
+    model = density(K)
+    seed = 4540 + 10 * K + N % 7
+    drawn = sample(model, N, seed)
+    bin_keys = histogram._bin_keys
+    keyed = []
+    monkeypatch.setattr(histogram, "_bin_keys",
+                        lambda rows, M: keyed.append(isinstance(rows, np.ndarray)) or bin_keys(rows, M))
+    small, gathered, above = _stream_grids(K, N)
+    assert small**K <= _B < gathered**K <= 4 * N < above**K
+    for M in (small, gathered, above):
+        keyed.clear()
+        streamed = build_histogram(LazySample(model, N, seed), M)
+        assert keyed == ([False] if M == above else []), M
+        assert streamed == build_histogram(drawn, M), M
+
+
+def test_stream_gathers_keys_across_blocks(monkeypatch):
+    """On a grid of 3.9 blocks the stream gathers 4 blocks of keys per
+    bincount: 3B + 5 rows take one bincount, 9B rows take three."""
+    model = tent_density(2)
+    counted = []
+    bincount = np.bincount
+    monkeypatch.setattr(histogram.np, "bincount",
+                        lambda keys, **kw: counted.append(keys.size) or bincount(keys, **kw))
+    M = 358  # 358^2 = 128164, 3.9 blocks
+    streamed = build_histogram(LazySample(model, 3 * _B + 5, 4550), M)
+    assert counted == [3 * _B + 5]
+    assert streamed == build_histogram(sample(model, 3 * _B + 5, 4550), M)
+    counted.clear()
+    build_histogram(LazySample(model, 9 * _B, 4551), M)
+    assert counted == [4 * _B, 4 * _B, _B]
+
+
+@pytest.mark.parametrize("N", [2**18, 2**20])
+def test_streamed_estimate_memory_does_not_grow_with_n(N):
+    """The traced peak of a streamed tent estimate at K = 2 stays under 3.5 MiB
+    at 2^18 and 2^20 rows: below the drawn sample's 16 N bytes (4 and 16 MiB).
+    The draw buffer, the workspace and the bin tally are all it holds."""
+    model = tent_density(2)
+    estimate_entropy_certified(LazySample(model, _B, 1), 8.0, 0.1)  # this thread's workspace
+    peak, report = _traced_peak(estimate_entropy_certified, LazySample(model, N, 4560), 8.0, 0.1)
+    assert report.params.N == N
+    assert report.estimate == estimate_entropy_certified(sample(model, N, 4560), 8.0, 0.1).estimate
+    assert peak < 3.5 * 2**20
 
 
 def _traced_peak(fn, *args):
