@@ -32,13 +32,14 @@ sample as it goes, so the sample is never held whole.  Both feed one
 block-counting loop, ``_dense_counts``, on a small grid
 (M^K <= ``_BLOCK_ROWS``): each block's keys go into one dense tally, and no
 N-row array is formed.  A stream on a grid of up to 4N bins takes that loop
-too, gathering the keys of a few blocks per ``bincount`` (see
-``_KEY_ROWS``).  Other grids go through ``_bin_keys``, which folds each
-block's K index rows into row-major int64 keys while M^K < 2^62, and
-``_tally``, which counts the keys with a dense ``bincount`` only when
-M^K <= 4N, otherwise by sorting them, so memory stays O(N); an array keeps
-this path up to 4N bins because one ``bincount`` over N keys is faster than
-the gathered tally.  ``_bin_ranks`` gives each row the rank of its bin among
+too, adding each block's keys into the tally in place (``np.add.at``), so
+besides the 8*M^K-byte tally it forms only the histogram's own arrays.  Other
+grids go through ``_bin_keys``, which folds each block's K index rows into
+row-major int64 keys while M^K < 2^62, and ``_tally``, which counts the
+keys with a dense ``bincount`` only when M^K <= 4N, otherwise by sorting
+them, so memory stays O(N); an array keeps this path up to 4N bins, where
+its N keys already exist and one ``bincount`` over them is the cheaper
+count.  ``_bin_ranks`` gives each row the rank of its bin among
 the occupied ones, for ``estimators.discrete_mi_plugin``.  Only these read
 the key layout.
 
@@ -72,11 +73,6 @@ __all__ = [
 # M = 7644 term of mi-estimate, 2^13 rows took 8.4 / 28 ms against
 # 6.7 / 12 ms at 2^15, and 2^16 was no faster than 2^15 on any term.
 _BLOCK_ROWS = 1 << 15
-
-# Most keys a stream gathers per bincount on a grid above _BLOCK_ROWS bins,
-# 8 MiB.  Each bincount adds all M^K bins into the tally, so the buffer holds
-# whole blocks enough for M^K keys, up to this cap.
-_KEY_ROWS = 32 * _BLOCK_ROWS
 
 # Each thread's block workspace, see _block_buffers.
 _workspace = threading.local()
@@ -285,33 +281,22 @@ def _dense_counts(rows, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Occupied keys and counts of the rows (an array or a row stream) on one
     dense tally of all M^K bins.
 
-    On a grid of at most ``_BLOCK_ROWS`` bins each block's keys are folded
-    in place in the workspace and counted at once.  A larger grid gathers the
-    keys of consecutive blocks in one buffer, of whole blocks enough for M^K
-    keys but at most ``_KEY_ROWS``, and counts them when it is full, so no
-    N-row array is formed either way.  Same result as
+    Each block's keys are folded in place in the workspace and counted at
+    once: by one ``bincount`` on a grid of at most ``_BLOCK_ROWS`` bins, and
+    above it by ``np.add.at`` straight into the tally, which costs about
+    what one ``bincount`` over all N keys does per key but forms no second
+    M^K-bin array.  So no N-row array is formed.  Same result as
     ``_tally(_bin_keys(rows, M), M, K)``.
     """
-    n, k = rows.shape
-    size = M**k
+    size = M**rows.shape[1]
     tally = np.zeros(size, dtype=np.int64)
-    keys = None
-    if size > _BLOCK_ROWS:
-        keys = np.empty(min(n, _KEY_ROWS, -(-size // _BLOCK_ROWS) * _BLOCK_ROWS), dtype=np.int64)
-    used = 0
     for start, block in _blocks(rows):
         idx = _quantize_block(block, start, M)
-        if keys is None:
-            tally += np.bincount(_fold_keys(idx, M, out=idx[0]), minlength=size)
-            continue
-        if used + len(block) > keys.size:
-            tally += np.bincount(keys[:used], minlength=size)
-            used = 0
-        _fold_keys(idx, M, out=keys[used:used + len(block)])
-        used += len(block)
-    if used:
-        tally += np.bincount(keys[:used], minlength=size)
-    keys = None  # release the buffer before the two occupied-bin arrays
+        keys = _fold_keys(idx, M, out=idx[0])
+        if size <= _BLOCK_ROWS:
+            tally += np.bincount(keys, minlength=size)
+        else:
+            np.add.at(tally, keys, 1)
     occupied = np.flatnonzero(tally)
     return occupied, tally[occupied]
 

@@ -561,7 +561,7 @@ class TestCoverageCommand:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
 
-    @pytest.mark.parametrize("k, l", [("2", "8"), ("3", "16")], ids=["small-grid", "gathered-keys"])
+    @pytest.mark.parametrize("k, l", [("2", "8"), ("3", "16")], ids=["small-grid", "large-grid"])
     def test_streamed_trials_match_drawn_samples(self, k, l, tmp_path, capsys):
         """Trials of 2B + 7 rows, binned as drawn, write the same CSV bytes on
         1 and 3 threads, and each estimate is that of the trial's drawn array."""

@@ -683,7 +683,7 @@ def _stream_grids(K, N):
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_stream_counts_match_the_drawn_array(K, N, density, monkeypatch):
     """A LazySample binned as it is drawn gives the histogram of the drawn
-    array, key for key: on the small grid, on the gathered-key tally up to 4N
+    array, key for key: on the small grid, on the in-place tally up to 4N
     bins, and on the N keys above 4N, the only grid that forms them."""
     model = density(K)
     seed = 4540 + 10 * K + N % 7
@@ -692,30 +692,32 @@ def test_stream_counts_match_the_drawn_array(K, N, density, monkeypatch):
     keyed = []
     monkeypatch.setattr(histogram, "_bin_keys",
                         lambda rows, M: keyed.append(isinstance(rows, np.ndarray)) or bin_keys(rows, M))
-    small, gathered, above = _stream_grids(K, N)
-    assert small**K <= _B < gathered**K <= 4 * N < above**K
-    for M in (small, gathered, above):
+    small, large, above = _stream_grids(K, N)
+    assert small**K <= _B < large**K <= 4 * N < above**K
+    for M in (small, large, above):
         keyed.clear()
         streamed = build_histogram(LazySample(model, N, seed), M)
         assert keyed == ([False] if M == above else []), M
         assert streamed == build_histogram(drawn, M), M
 
 
-def test_stream_gathers_keys_across_blocks(monkeypatch):
-    """On a grid of 3.9 blocks the stream gathers 4 blocks of keys per
-    bincount: 3B + 5 rows take one bincount, 9B rows take three."""
+def test_large_grid_stream_forms_no_second_tally(monkeypatch):
+    """On a grid above B bins the stream adds each block's keys into its
+    tally in place: no bincount, and no other array of M^K bins, even where
+    M^K exceeds B many times over and N spans several blocks."""
     model = tent_density(2)
-    counted = []
+    N, M = 3 * _B + 5, 620  # 620^2 = 384400 bins, 11.7 blocks; <= 4N
+    assert _B < M**2 <= 4 * N
     bincount = np.bincount
     monkeypatch.setattr(histogram.np, "bincount",
-                        lambda keys, **kw: counted.append(keys.size) or bincount(keys, **kw))
-    M = 358  # 358^2 = 128164, 3.9 blocks
-    streamed = build_histogram(LazySample(model, 3 * _B + 5, 4550), M)
-    assert counted == [3 * _B + 5]
-    assert streamed == build_histogram(sample(model, 3 * _B + 5, 4550), M)
-    counted.clear()
-    build_histogram(LazySample(model, 9 * _B, 4551), M)
-    assert counted == [4 * _B, 4 * _B, _B]
+                        lambda *a, **kw: pytest.fail("bincount on the stream") or bincount(*a, **kw))
+    build_histogram(LazySample(model, _B, 1), M)  # this thread's workspace
+    peak, streamed = _traced_peak(build_histogram, LazySample(model, N, 4550), M)
+    monkeypatch.setattr(histogram.np, "bincount", bincount)
+    assert streamed == build_histogram(sample(model, N, 4550), M)
+    # The 8 M^K-byte tally, its occupied keys and counts (16 N bytes at most)
+    # and the 0.5 MiB draw buffer; a second tally would add 3 MiB.
+    assert peak < 8 * M**2 + 16 * N + 2**20
 
 
 @pytest.mark.parametrize("N", [2**18, 2**20])
