@@ -7,8 +7,10 @@ sidecar carries timing, so repeated runs with the same config are
 byte-identical.  Both files are renamed into place together, so a failed
 write changes neither.  Only the commands that draw take ``--seed``:
 ``bound`` and ``optimize-m`` do not.  ``estimate`` and ``mi-estimate`` read
-their sample from ``--input`` or draw it from ``--density``, never both.  A
-demo's ``--estimator`` must name a program.  Exit status is 0 on success,
+their sample from ``--input`` or draw ``--n`` rows from ``--density``, never
+both, so ``--n`` next to ``--input`` is refused too.  ``verify-lemmas``
+integrates to a tolerance that its ``--k`` sets (1e-6 at K = 1, else 1e-5).
+A demo's ``--estimator`` must name a program.  Exit status is 0 on success,
 2 when the requested parameters violate a precondition (e.g. a bin count
 below the validity threshold), and 1 on I/O, data-format or out-of-memory
 errors.  Errors print one machine-parsable line to standard error:
@@ -63,6 +65,8 @@ from .estimators import (
     prop1_demo,
 )
 from .oracle import (
+    _cell_midpoints,
+    _grid_chunks,
     check_density_gap,
     check_entropy_continuity,
     check_sup_bound,
@@ -102,7 +106,6 @@ _OPTIONS = {
     "trials": (int, None, "number of seeded trials"),
     "seed": (int, 0, "master seed"),
     "out": (str, None, "output CSV path"),
-    "tol": (float, None, "quadrature tolerance"),
     "m_list": (str, "8,16,32", "comma-separated bin counts"),
     "pairs": (int, 1000000, "random pairs for the x log x check"),
     "estimator": (str, None, "external estimator command"),
@@ -347,8 +350,6 @@ def _cmd_mi_estimate(config: argparse.Namespace):
 def _cmd_coverage(config: argparse.Namespace):
     _require(config, "l", "n", "delta", "trials")
     model = _load_density(config, "k")
-    if model.analytic_entropy is None:
-        raise ValueError("coverage requires a density with known entropy")
     truth = model.analytic_entropy
     params, bound = _plan(config.k, config.l, config.n, config.delta, config.m)
 
@@ -421,7 +422,7 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
     # Quadrature of the K=2 entropy integrand converges too slowly for 1e-6
     # within the per-level point budget; one decade looser costs nothing
     # against bound margins that are two orders of magnitude wide.
-    tol = config.tol if config.tol is not None else (1e-6 if K == 1 else 1e-5)
+    tol = 1e-6 if K == 1 else 1e-5
     m_values = _m_values(config.m_list)
     rows = []
 
@@ -446,8 +447,8 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
         cont = check_entropy_continuity(h_tent, h_companion, gap_bound, sup.bound)
         add("entropy_continuity", M, cont.lhs, cont.rhs, cont.lhs <= cont.rhs + 2 * tol)
 
-        centers = _grid_centers(M, K)
-        pmf = companion.pdf(centers) / float(M**K)
+        cells = _grid_chunks([_cell_midpoints(M)] * K)
+        pmf = np.concatenate([companion.pdf(pts) for pts in cells]) / float(M**K)
         ident_lhs = exact_discrete_entropy(pmf)
         ident_rhs = h_companion.value + K * math.log(M)
         add("quantized_identity", M, ident_lhs, ident_rhs, abs(ident_lhs - ident_rhs) <= 4 * tol)
@@ -494,12 +495,6 @@ def _m_values(m_list: str) -> list[int]:
     raise ValueError(f"m_list must be comma-separated integers >= 1, got {m_list!r}")
 
 
-def _grid_centers(M: int, K: int) -> np.ndarray:
-    centers = (np.arange(M) + 0.5) / M
-    mesh = np.meshgrid(*([centers] * K), indexing="ij")
-    return np.column_stack([ax.ravel() for ax in mesh])
-
-
 # ---------------------------------------------------------------------------
 # Dispatch
 # ---------------------------------------------------------------------------
@@ -527,7 +522,7 @@ _COMMANDS = {
     "kl-demo": (lambda config: _cmd_demo(kl_demo, config),
                 "adversarial demonstration: kl-demo", _DEMO_OPTIONS),
     "verify-lemmas": (_cmd_verify_lemmas, "numerical checks of the supporting inequalities",
-                      ("k", "m_list", "tol", "pairs", "seed", "out")),
+                      ("k", "m_list", "pairs", "seed", "out")),
 }
 
 
@@ -551,6 +546,8 @@ def _validate_config(config: argparse.Namespace) -> None:
         raise ValueError(f"seed must be >= 0, got {config.seed!r}")
     if config.density is not None and config.input is not None:
         raise ValueError("--density and --input both name the sample: give one of them")
+    if config.n is not None and config.input is not None:
+        raise ValueError("--n sizes a --density draw; --input brings its own rows: give one of them")
     _m_values(config.m_list)
     _default_threads()  # a malformed ENTROBOUND_THREADS fails before any work
     if config.format not in ("csv", "f64le"):

@@ -86,7 +86,14 @@ _LN2 = math.log(2.0)
 # Default pool size cap, when ENTROBOUND_THREADS is unset.
 _MAX_DEFAULT_THREADS = 32
 
-# The three MI terms run on the pool only on more than this many rows.
+# The three MI terms run on the pool only on more than this many rows.  The
+# cut was inherited from an older pool's rule, and measured later: on tent
+# rows (K = 3, k1 = 1; median of 15 calls, 10 alternating runs, 2 threads
+# against serial, 2-vCPU host, numpy 2.4) the pool loses at 2^16 (4.0-4.5
+# against 3.6-3.8 ms), 2^17 (7.0 against 6.5 ms) and 2^18 (12.4-13.4 against
+# 11.3-13.2 ms), and wins at 2^19 (21.7 against 23.0-29.3 ms) and 2^20 (43
+# against 59 ms).  Break-even lies between 2^18 and 2^19 rows; the tests of
+# the pool reach it with 2^16 + 1 rows.
 _MI_POOL_ROWS = 2**16
 
 
@@ -261,13 +268,10 @@ class PinnedEntropyEstimator:
         if box is None:
             box = [[-1.0, 1.0]] * K
         self.box = np.asarray(box, dtype=np.float64)
-        self.K = K
         frame = affine_rescale(np.empty((0, K)), self.box)
         self.L_effective = L * frame.lipschitz_scale
         self.entropy_offset = frame.entropy_offset
-        params, self.bound = _plan(K, self.L_effective, N, delta)
-        self.M = params.M
-        self.N = N
+        self.M = _plan(K, self.L_effective, N, delta)[0].M
 
     def __call__(self, samples) -> float:
         rescaled = affine_rescale(_as_points(samples), self.box)
@@ -512,8 +516,7 @@ class _PinnedMiEstimator:
         self.delta = delta
 
     def __call__(self, rows) -> float:
-        rows = _as_points(rows)
-        rescaled = np.column_stack([rows[:, 0], (rows[:, 1] + 2.0) / 3.0])
+        rescaled = affine_rescale(rows, [[0.0, 1.0], [-2.0, 1.0]]).samples
         return estimate_mi_certified(rescaled, 1, self.assumed_L, self.delta).estimate
 
 

@@ -56,15 +56,21 @@ _MAX_POINTS_PER_LEVEL = 2**24
 # grids that agree by chance (before any point hits a narrow feature) cannot.
 _MIN_POINTS = 1024
 _CHUNK = 2**20
+# Agreement the quantized companion's cell masses refine to.
+_COMPANION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Value, last-refinement difference, and grid size of one integration."""
+    """Value and last-refinement difference of one integration."""
 
     value: float
     est_error: float
-    grid_cells: int
+
+
+def _cell_midpoints(n: int) -> np.ndarray:
+    """The midpoints of the n equal cells of [0, 1]."""
+    return (np.arange(n) + 0.5) / n
 
 
 def _grid_chunks(axes):
@@ -96,7 +102,7 @@ def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float):
     """Evaluate at n, 2n, 4n, ... points per axis until two grids in a row
     agree within ``tol`` (in their largest absolute difference).
 
-    Returns (value, difference, n); raises QuadratureError past
+    Returns (value, difference); raises QuadratureError past
     _MAX_POINTS_PER_LEVEL points per grid.
     """
     prev = None
@@ -110,7 +116,7 @@ def _refine(evaluate: Callable[[int], object], n: int, K: int, tol: float):
         if prev is not None:
             diff = float(np.max(np.abs(value - prev)))
             if diff < tol:
-                return value, diff, n
+                return value, diff
         prev = value
         n *= 2
 
@@ -137,10 +143,10 @@ def integrate_box(
         raise ValueError(f"integration box has nonpositive side: {widths.tolist()}")
     K = lo.shape[0]
     first_level = max(1, math.ceil(math.log2(_MIN_POINTS) / K))
-    value, est_error, m = _refine(
+    value, est_error = _refine(
         lambda m: _midpoint_level(integrand, lo, widths, m), 2**first_level, K, tol
     )
-    return QuadratureResult(value=value, est_error=est_error, grid_cells=m**K)
+    return QuadratureResult(value=value, est_error=est_error)
 
 
 def _neg_xlogx(v: np.ndarray) -> np.ndarray:
@@ -168,23 +174,23 @@ def numeric_entropy(model: DensityModel, tol: float = 1e-6) -> QuadratureResult:
 # ---------------------------------------------------------------------------
 
 
-def _cell_masses(model: DensityModel, M: int, tol: float = 1e-10) -> np.ndarray:
+def _cell_masses(model: DensityModel, M: int) -> np.ndarray:
     """Masses of the M^K grid cells of [0,1]^K under the model, by quadrature:
     each is M^-K times the mean of the pdf at g^K midpoints inside the cell."""
     K = model.K
 
     def masses(per_axis: int) -> np.ndarray:
         g = per_axis // M
-        centers = (np.arange(per_axis) + 0.5) / per_axis
+        centers = _cell_midpoints(per_axis)
         vals = np.concatenate([model.pdf(pts) for pts in _grid_chunks([centers] * K)])
         blocked = vals.reshape(sum(((M, g) for _ in range(K)), ()))
         return blocked.mean(axis=tuple(range(1, 2 * K, 2))) / float(M**K)
 
     g0 = max(1, math.ceil(math.ceil(_MIN_POINTS ** (1.0 / K)) / M))
-    return _refine(masses, M * g0, K, tol)[0]
+    return _refine(masses, M * g0, K, _COMPANION_TOL)[0]
 
 
-def quantized_companion(model: DensityModel, M: int, tol: float = 1e-10) -> DensityModel:
+def quantized_companion(model: DensityModel, M: int) -> DensityModel:
     """Piecewise-constant density equal to M^K times each cell's mass.
 
     This is the law of a sample whose bin is drawn from the model and whose
@@ -196,7 +202,7 @@ def quantized_companion(model: DensityModel, M: int, tol: float = 1e-10) -> Dens
     if np.any(model.support[:, 0] < 0.0) or np.any(model.support[:, 1] > 1.0):
         raise ValueError("quantized companion requires support inside [0,1]^K")
     K = model.K
-    masses = _cell_masses(model, M, tol)
+    masses = _cell_masses(model, M)
     levels = masses * float(M**K)
 
     def pdf(x):
@@ -225,10 +231,6 @@ def quantized_companion(model: DensityModel, M: int, tol: float = 1e-10) -> Dens
     )
 
 
-def _interior_grid_axis(M: int, per_cell: int) -> np.ndarray:
-    return (np.arange(M * per_cell) + 0.5) / (M * per_cell)
-
-
 def _dimension_guard(K: int) -> int:
     if K > 3:
         raise ValueError(f"grid verification is limited to K <= 3, got K={K}")
@@ -245,7 +247,7 @@ def check_density_gap(model: DensityModel, M: int) -> float:
         raise ValueError("density gap check needs a model with a Lipschitz constant")
     per_cell = _dimension_guard(model.K)
     companion = quantized_companion(model, M)
-    axis = _interior_grid_axis(M, per_cell)
+    axis = _cell_midpoints(M * per_cell)
     max_gap = 0.0
     for pts in _grid_chunks([axis] * model.K):
         gap = np.abs(model.pdf(pts) - companion.pdf(pts))
@@ -304,7 +306,6 @@ def check_xlogx_gap(x, y):
 class ContinuityCheck(NamedTuple):
     lhs: float
     rhs: float
-    quad_error: float
     alpha_ok: bool
 
 
@@ -319,15 +320,14 @@ def check_entropy_continuity(
     via check_density_gap and check_sup_bound).  The bound's derivation
     additionally wants eps/A <= alpha; that condition is reported via
     ``alpha_ok`` rather than enforced, since the inequality is loose enough
-    to hold some way below the threshold.  Assert lhs <= rhs + quad_error
-    (or + 2*tol for the tol both entropies were integrated to).
+    to hold some way below the threshold.  Assert lhs <= rhs + 2*tol for
+    the tol both entropies were integrated to.
     """
     if not (eps > 0.0) or not (A > 0.0):
         raise ValueError(f"eps and A must be positive, got eps={eps!r}, A={A!r}")
     return ContinuityCheck(
         lhs=abs(h_p.value - h_q.value),
         rhs=eps * math.log(A / eps),
-        quad_error=h_p.est_error + h_q.est_error,
         alpha_ok=eps / A <= alpha_const(),
     )
 

@@ -1,11 +1,11 @@
 """Seeded, splittable random number generation.
 
 All randomness in the package flows through a counter-based generator
-(Philox) keyed by a 64-bit master seed plus an integer path.  Trial ``t`` of
-an experiment draws from ``generator(seed, t)``; distinct paths give
-statistically independent streams, and the same ``(seed, path)`` always
-reproduces the same stream regardless of thread schedule.  There is no hidden
-global state.
+(Philox) keyed by a 64-bit seed.  ``split(seed, *path)`` derives a child
+seed for each integer path: trial ``t`` of an experiment draws from
+``generator(split(seed, t))``, distinct paths give statistically independent
+streams, and the same seed always reproduces the same stream regardless of
+thread schedule.  There is no hidden global state.
 """
 from __future__ import annotations
 
@@ -14,10 +14,9 @@ import numpy as np
 __all__ = ["generator", "split"]
 
 
-def generator(seed: int, *path: int) -> np.random.Generator:
-    """Deterministic generator for the stream identified by ``(seed, *path)``."""
-    ss = np.random.SeedSequence(seed, spawn_key=tuple(int(p) for p in path))
-    return np.random.Generator(np.random.Philox(ss))
+def generator(seed: int) -> np.random.Generator:
+    """Deterministic generator for the stream of ``seed``."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def split(seed: int, *path: int) -> int:

@@ -46,6 +46,8 @@ REMOVED = {
     "entrobound.histogram": ["quantize_index", "_bin_indices", "_index_rows"],
     "entrobound.histogram:SparseHistogram": ["bins"],
     "entrobound.oracle": ["numeric_kl", "trapezoid_model", "trapezoid_entropy"],
+    "entrobound.oracle:QuadratureResult": ["grid_cells"],
+    "entrobound.oracle:ContinuityCheck": ["quad_error"],
     "entrobound.densities": ["collision_probability", "_tent1_cdf"],
     "entrobound.densities:DensityModel": ["cdf"],
     "entrobound.densities:DiscreteMiAdversary": ["collision_probability",

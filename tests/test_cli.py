@@ -94,10 +94,10 @@ def test_help_lists_the_commands_options(command, capsys):
 
 def test_config_key_the_command_does_not_accept(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("tol = 1\n")
+    cfg.write_text("pairs = 1\n")
     code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 2
-    assert err == "error: invalid: unrecognized arguments: --tol=1\n"
+    assert err == "error: invalid: unrecognized arguments: --pairs=1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -196,6 +196,29 @@ def test_density_and_input_refused_together(argv, tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.startswith("error: invalid: ")
     assert "--density" in err and "--input" in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--k", "2"],
+    ["mi-estimate", "--k1", "1", "--k2", "1"],
+], ids=["estimate", "mi-estimate"])
+def test_n_and_input_refused_together(argv, in_config, tmp_path, capsys):
+    """The file's rows are the sample, so an --n next to it would go unread."""
+    data = tmp_path / "d.csv"
+    data.write_text("0.5,0.5\n0.25,0.75\n0.125,0.375\n")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n = 7\n")
+    extra = ["--config", str(cfg)] if in_config else ["--n", "7"]
+    out = tmp_path / "r.csv"
+    code, stdout, err = run_cli(
+        argv + ["--input", str(data), "--l", "4", "--delta", "0.1", "--out", str(out)] + extra,
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    assert err.startswith("error: invalid: ")
+    assert "--n" in err and "--input" in err and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "exp.cfg"]
 
 
 @pytest.mark.parametrize(
@@ -754,6 +777,17 @@ class TestVerifyLemmas:
         flags = ["--config", str(cfg)] if in_config else ["--pairs", "0"]
         code, _, err = run_cli(["verify-lemmas", *flags], capsys)
         assert (code, err) == (2, "error: invalid: pairs must be >= 1, got 0\n")
+
+    def test_tolerance_is_not_an_option(self, tmp_path, capsys):
+        """The quadrature tolerance follows from --k alone."""
+        out = tmp_path / "lem.csv"
+        code, stdout, err = run_cli(
+            ["verify-lemmas", "--k", "1", "--tol", "1e-6", "--out", str(out)], capsys
+        )
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: invalid: unrecognized arguments: --tol")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
 
     # "," names no bin count, so no per-M check would run.
     @pytest.mark.parametrize("m_list, in_config", [("8,x", False), ("0,8", False),
