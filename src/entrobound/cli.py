@@ -23,11 +23,10 @@ Configs can be stored as flat ``key = value`` files mirroring the flags
 ``--key=value``, and explicit command-line flags override file values.  A
 file may also name the command (``command = bound``); the command line may
 then start with flags (``--config exp.cfg --n 2000``).
-The ``coverage`` trials run on a worker pool sized by ``--threads``, else
-ENTROBOUND_THREADS, else the CPUs this process may run on (at most 32).
-``mi-estimate`` on more than 2^16 rows runs its three entropy terms on a pool
-of ENTROBOUND_THREADS threads.  Histograms are always built serially, so
-pools never nest.  Output is the same for any thread count.
+The ``coverage`` trials, and ``mi-estimate``'s three entropy terms on more
+than 2^16 rows, run on worker pools of ENTROBOUND_THREADS threads, else of
+the CPUs this process may run on (at most 32).  Histograms are always built
+serially, so pools never nest.  Output is the same for any thread count.
 ``estimate --density`` and each ``coverage`` trial hand the estimator a
 ``LazySample``, which is drawn block by block as it is binned, so neither
 holds an N-row sample; ``mi-estimate --density`` still draws its columns
@@ -107,9 +106,7 @@ _OPTIONS = {
     "seed": (int, 0, "master seed"),
     "out": (str, None, "output CSV path"),
     "m_list": (str, "8,16,32", "comma-separated bin counts"),
-    "pairs": (int, 1000000, "random pairs for the x log x check"),
     "estimator": (str, None, "external estimator command"),
-    "threads": (int, None, "worker pool size"),
 }
 
 
@@ -369,8 +366,7 @@ def _cmd_coverage(config: argparse.Namespace):
             "covered": int(abs_err <= report.bound.total),
         }
 
-    threads = config.threads if config.threads is not None else _default_threads()
-    rows = _map_ordered(one_trial, config.trials, threads)
+    rows = _map_ordered(one_trial, config.trials, _default_threads())
     coverage = sum(r["covered"] for r in rows) / config.trials
     cols = list(rows[0]) + ["coverage"]
     rows.append({"row": "summary", "coverage": coverage})
@@ -415,6 +411,10 @@ def _cmd_demo(demo_fn, config: argparse.Namespace):
     return list(row), [row], line
 
 
+# Random (x, y) pairs of the x log x check.
+_XLOGX_PAIRS = 10**6
+
+
 def _cmd_verify_lemmas(config: argparse.Namespace):
     K = config.k
     tent = tent_density(K)
@@ -454,8 +454,8 @@ def _cmd_verify_lemmas(config: argparse.Namespace):
         add("quantized_identity", M, ident_lhs, ident_rhs, abs(ident_lhs - ident_rhs) <= 4 * tol)
 
     rng = generator(split(config.seed, 99))
-    x = rng.random(config.pairs)
-    shift = (rng.random(config.pairs) * 2.0 - 1.0) * 0.1207
+    x = rng.random(_XLOGX_PAIRS)
+    shift = (rng.random(_XLOGX_PAIRS) * 2.0 - 1.0) * 0.1207
     y = np.maximum(x + shift, 0.0)
     lhs, rhs = check_xlogx_gap(x, y)
     worst = int(np.argmax(lhs - rhs))
@@ -514,7 +514,7 @@ _COMMANDS = {
     "mi-estimate": (_cmd_mi_estimate, "certified mutual-information estimate",
                     ("density", "input", "format", "k1", "k2", "l", "n", "delta", "seed", "out")),
     "coverage": (_cmd_coverage, "empirical coverage experiment",
-                 ("density", "k", "l", "m", "n", "delta", "trials", "seed", "out", "threads")),
+                 ("density", "k", "l", "m", "n", "delta", "trials", "seed", "out")),
     "prop1-demo": (lambda config: _cmd_demo(prop1_demo, config),
                    "adversarial demonstration: prop1-demo", _DEMO_OPTIONS),
     "mi-demo": (lambda config: _cmd_demo(mi_adversary_demo, config),
@@ -522,7 +522,7 @@ _COMMANDS = {
     "kl-demo": (lambda config: _cmd_demo(kl_demo, config),
                 "adversarial demonstration: kl-demo", _DEMO_OPTIONS),
     "verify-lemmas": (_cmd_verify_lemmas, "numerical checks of the supporting inequalities",
-                      ("k", "m_list", "pairs", "seed", "out")),
+                      ("k", "m_list", "seed", "out")),
 }
 
 
@@ -536,7 +536,7 @@ def _validate_config(config: argparse.Namespace) -> None:
         raise ValueError(f"l must be positive, got {config.l!r}")
     if config.c is not None and not (config.c > 0.0):
         raise ValueError(f"c must be positive, got {config.c!r}")
-    for name in ("k", "k1", "k2", "m", "n", "trials", "threads", "pairs"):
+    for name in ("k", "k1", "k2", "m", "n", "trials"):
         value = getattr(config, name)
         if value is not None and value < 1:
             raise ValueError(f"{name} must be >= 1, got {value!r}")

@@ -315,6 +315,12 @@ class TestEmpiricalBias:
         for N in (1, 7, 10**6):
             assert empirical_bias(3, 1, N) == 0.0
 
+    def test_two_bins_per_axis_exact(self):
+        """M = 2 is the threshold at K = 1, L = 0.2; only M = 1 has no bias."""
+        assert min_valid_M(1, 0.2) == 2
+        assert empirical_bias(1, 2, 100) == math.log1p(0.01)
+        assert empirical_bias(3, 2, 7) == math.log(2.0)
+
     def test_overflow_safe_matches_naive(self):
         """Below M^K = 1e15 the log1p form must match the naive formula."""
         cases = [(1, 10, 100), (2, 1000, 7), (3, 10**5, 10**6), (1, 10**15, 3), (5, 1000, 10)]
@@ -385,6 +391,9 @@ class TestUlpBudget:
         st.integers(1, 2**53),
         st.integers(-3, 3).map(lambda d: max(1, int(math.exp(bounds._LOG_MK_CUTOFF / K)) + d)),
     ))), N=st.integers(1, 10**15))
+    @example(case=(1, 1), N=5)
+    @example(case=(1, 2), N=100)
+    @example(case=(2, 3), N=7)
     def test_empirical_bias(self, case, N):
         K, M = case
         exact = empirical_bias_exact(K, M, N)

@@ -55,17 +55,13 @@ class TestBoundCommand:
         assert err.startswith("error: invalid:")
 
 
-@pytest.mark.parametrize(
-    "command",
-    ["bound", "optimize-m", "estimate", "mi-estimate", "prop1-demo", "mi-demo", "kl-demo",
-     "verify-lemmas"],
-)
-def test_threads_only_on_coverage(command, capsys):
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_threads_on_no_command(command, capsys):
+    """ENTROBOUND_THREADS alone sizes the worker pools."""
     code, _, err = run_cli([command, "--threads", "2"], capsys)
     assert code == 2
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: invalid:")
-    assert "--threads" in err
+    assert err.startswith("error: invalid: unrecognized arguments: --threads")
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -94,10 +90,10 @@ def test_help_lists_the_commands_options(command, capsys):
 
 def test_config_key_the_command_does_not_accept(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("pairs = 1\n")
+    cfg.write_text("m_list = 8\n")
     code, _, err = run_cli(["estimate", "--config", str(cfg)], capsys)
     assert code == 2
-    assert err == "error: invalid: unrecognized arguments: --pairs=1\n"
+    assert err == "error: invalid: unrecognized arguments: --m-list=8\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -273,10 +269,11 @@ def test_optimize_m_prints_bin_count_above_2_53(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--k", "1"],
-    ["coverage", "--k", "1", "--trials", "4", "--threads", "2"],
+    ["coverage", "--k", "1", "--trials", "4"],
 ], ids=["estimate", "coverage-on-pool"])
 def test_out_of_memory_is_one_line(argv, tmp_path, monkeypatch, capsys):
     message = "Unable to allocate 72.8 TiB for an array with shape (10000000000000, 1)"
+    monkeypatch.setenv("ENTROBOUND_THREADS", "2")
 
     def sample(model, n, seed, out=None):
         raise MemoryError(message)
@@ -414,11 +411,11 @@ _FUZZ_BASE = {
 }
 # Options whose value is never fuzzed, only where it is given: a 300-digit
 # --n or --trials passes validation and then draws or loops for as long as it
-# says, and --threads starts that many threads.
+# says.
 _FUZZ_FIXED = {
     "estimate": {"n": "100"},
     "mi-estimate": {"n": "100"},
-    "coverage": {"n": "100", "trials": "12", "threads": "4"},
+    "coverage": {"n": "100", "trials": "12"},
     "prop1-demo": {"n": "100", "trials": "10"},
     "mi-demo": {"n": "100", "trials": "10"},
     "kl-demo": {"n": "100", "trials": "10"},
@@ -495,7 +492,7 @@ class TestEstimateCommand:
         assert "wall_time_s = " in meta
         # only the options estimate accepts
         keys = {line.split(" = ")[0] for line in meta.splitlines()}
-        assert not keys & {"m_list", "pairs", "k1", "k2", "threads"}
+        assert not keys & {"m_list", "k1", "k2"}
 
     def test_estimate_from_ingested_file(self, tmp_path, capsys):
         data = tmp_path / "pts.csv"
@@ -585,17 +582,18 @@ class TestCoverageCommand:
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("k, l", [("2", "8"), ("3", "16")], ids=["small-grid", "large-grid"])
-    def test_streamed_trials_match_drawn_samples(self, k, l, tmp_path, capsys):
+    def test_streamed_trials_match_drawn_samples(self, k, l, tmp_path, capsys, monkeypatch):
         """Trials of 2B + 7 rows, binned as drawn, write the same CSV bytes on
         1 and 3 threads, and each estimate is that of the trial's drawn array."""
         n, trials, seed = 2**16 + 7, 4, 12
         outputs = []
         for threads in ("1", "3"):
+            monkeypatch.setenv("ENTROBOUND_THREADS", threads)
             out = tmp_path / f"cov_{threads}.csv"
             code, _, _ = run_cli(
                 ["coverage", "--density", "tent", "--k", k, "--l", l, "--n", str(n),
                  "--delta", "0.1", "--trials", str(trials), "--seed", str(seed),
-                 "--threads", threads, "--out", str(out)], capsys)
+                 "--out", str(out)], capsys)
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
@@ -617,12 +615,13 @@ class TestCoverageCommand:
         assert code == 2
         assert err.strip() == "error: invalid: ENTROBOUND_THREADS must be an integer, got 'two'"
 
-    def test_pool_does_not_nest(self, tmp_path, capsys, executors):
+    def test_pool_does_not_nest(self, tmp_path, capsys, executors, monkeypatch):
         """Trials on the pool build their 2-block histograms serially."""
+        monkeypatch.setenv("ENTROBOUND_THREADS", "2")
         code, _, _ = run_cli(
             ["coverage", "--density", "tent", "--k", "1", "--l", "4",
              "--n", str(2**16 + 1), "--delta", "0.1", "--trials", "3", "--seed", "9",
-             "--threads", "2", "--out", str(tmp_path / "cov.csv")],
+             "--out", str(tmp_path / "cov.csv")],
             capsys,
         )
         assert code == 0
@@ -633,15 +632,6 @@ _COVERAGE_ARGS = ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n"
                   "--delta", "0.1", "--trials", "2", "--seed", "9"]
 _ESTIMATE_ARGS = ["estimate", "--density", "tent", "--k", "1", "--l", "4", "--n", "100",
                   "--delta", "0.1"]
-
-
-@pytest.mark.parametrize("threads", ["0", "-4"])
-def test_threads_below_one_invalid(threads, tmp_path, capsys):
-    out = tmp_path / "cov.csv"
-    code, _, err = run_cli(_COVERAGE_ARGS + ["--threads", threads, "--out", str(out)], capsys)
-    assert code == 2
-    assert err == f"error: invalid: threads must be >= 1, got {threads}\n"
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [_COVERAGE_ARGS, _ESTIMATE_ARGS])
@@ -771,12 +761,19 @@ class TestVerifyLemmas:
         assert _output_digests() == (csv_digest, meta_digest)
 
     @pytest.mark.parametrize("in_config", [False, True])
-    def test_pairs_below_one_invalid(self, in_config, tmp_path, capsys):
+    def test_pairs_is_not_an_option(self, in_config, tmp_path, capsys):
+        """The x log x check always draws its fixed number of pairs."""
         cfg = tmp_path / "lem.cfg"
-        cfg.write_text("pairs = 0\n")
-        flags = ["--config", str(cfg)] if in_config else ["--pairs", "0"]
-        code, _, err = run_cli(["verify-lemmas", *flags], capsys)
-        assert (code, err) == (2, "error: invalid: pairs must be >= 1, got 0\n")
+        cfg.write_text("pairs = 10\n")
+        flags = ["--config", str(cfg)] if in_config else ["--pairs", "10"]
+        out = tmp_path / "lem.csv"
+        code, stdout, err = run_cli(["verify-lemmas", "--k", "1", *flags, "--out", str(out)],
+                                    capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("error: invalid: unknown config key 'pairs'" if in_config
+                              else "error: invalid: unrecognized arguments: --pairs")
+        assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_tolerance_is_not_an_option(self, tmp_path, capsys):
         """The quadrature tolerance follows from --k alone."""
@@ -1024,9 +1021,9 @@ _GOLDEN_RUNS = {
                     "f7b547063d6de3a3b3fb0da23f889e67c82592ce5d88b9722b7f29e273051640",
                     "18ca32aef257f2087a90353c63178d97a0443d4de12b1c7992347a4be249fb92"),
     "coverage": (["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "2000",
-                  "--delta", "0.1", "--trials", "5", "--seed", "3", "--threads", "2"],
+                  "--delta", "0.1", "--trials", "5", "--seed", "3"],
                  "eb58a571a4f9c7f8d1e7eccecadc2c20395697cc05814a7ab993efa1d1244c1d",
-                 "65a8788b0a2036c34bfb94069835eaf5dc66df9442c9e7649375c15e3724ef04"),
+                 "a6a6ee9af49c43c9f91ee873929e2c42ba50d6807351618adf2ec30e26ac739c"),
     "prop1-demo": (["prop1-demo", "--c", "0.5", "--delta", "0.2", "--n", "30",
                     "--trials", "20", "--seed", "5"],
                    "4e4879208fbd04932e9ced74cafdd4e237b874c543387a846086bafbacc0dd17",
@@ -1041,10 +1038,10 @@ _GOLDEN_RUNS = {
                 "84692c6a2b3a67a62eee17f7cd06ce9a67070b11fdc3bd057f4145893038fc44"),
     "verify-lemmas": (["verify-lemmas", "--k", "1"],
                       "e2dfcf46d7fbdfb2ab682b0d3c541d8c8eed2c7d2e26149cbf65b6a1e15d81dc",
-                      "04379f80fb13f0855744d65220ff531879ef6d865c09e12f768c82b6c7142241"),
+                      "dab4c3ece257f38ae031a76db92b7cdb3798693aa0509b7395bb244fc42dd9e6"),
     "verify-lemmas-k2": (["verify-lemmas", "--k", "2", "--m-list", "8,16"],
                          "dc340229754563ee06fcebee9c0a2d278ee1db09e98086bf63f4c3a668bb9b80",
-                         "ce74fd22123d2a2817d9698163f5beaa9782b300765abd3e1f1c938a2b061a3a"),
+                         "40e29dcba5d1a642272e0b77287b6b7c9b1c75d1968d57e2898124133b2ee648"),
 }
 # A run driven by a config file that names the command and the output, with a
 # command-line flag overriding one of its values.
