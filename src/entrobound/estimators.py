@@ -10,14 +10,14 @@ and whose other columns are y, so x, y and the joint are all views of it.
 Every entropy estimate, the CLI's ``bound`` and ``coverage`` and the pinned
 demo victim take their bin count M and their certificate from ``_plan``.
 
-The three terms are independent, so on more than 2^16 rows they run on the
+The three terms are independent, so on more than 2^18 rows they run on the
 worker pool ``_map_ordered``, which also runs the CLI's ``coverage`` trials;
 nothing else in entrobound runs in parallel, and each histogram is serial.
-The terms start in the order joint, x, y at any thread count, so the joint
-(about half the work) does not wait for a marginal to finish: two workers
-run it beside the two marginals back to back, three run all at once.
-Results and errors still come back in x, y, joint order: when several terms
-fail, x's error is raised first.
+The terms are listed x, y, joint.  The pool starts the last item first, so
+the joint (about half the work) does not wait for a marginal to finish: two
+workers run it beside the two marginals back to back, three run all at once.
+Results and errors come back in index order: when several terms fail, x's
+error is raised first.
 
 The demo harnesses construct the distributions on which a fixed estimator
 must fail: a contamination mixture whose entropy sits far from anything the
@@ -86,15 +86,17 @@ _LN2 = math.log(2.0)
 # Default pool size cap, when ENTROBOUND_THREADS is unset.
 _MAX_DEFAULT_THREADS = 32
 
-# The three MI terms run on the pool only on more than this many rows.  The
-# cut was inherited from an older pool's rule, and measured later: on tent
-# rows (K = 3, k1 = 1; median of 15 calls, 10 alternating runs, 2 threads
-# against serial, 2-vCPU host, numpy 2.4) the pool loses at 2^16 (4.0-4.5
-# against 3.6-3.8 ms), 2^17 (7.0 against 6.5 ms) and 2^18 (12.4-13.4 against
-# 11.3-13.2 ms), and wins at 2^19 (21.7 against 23.0-29.3 ms) and 2^20 (43
-# against 59 ms).  Break-even lies between 2^18 and 2^19 rows; the tests of
-# the pool reach it with 2^16 + 1 rows.
-_MI_POOL_ROWS = 2**16
+# The three MI terms run on the pool only on more than this many rows.  Two
+# measurements on tent rows (K = 3, k1 = 1; 2 threads against serial, 10
+# alternating runs, 2-vCPU hosts, numpy 2.4) put break-even near 2^18: one
+# (median of 15 calls) had the pool lose at 2^16 (4.0-4.5 against 3.6-3.8
+# ms) and 2^17 (7.0 against 6.5 ms), win 3 of 10 at 2^18 (12.4-13.4 against
+# 11.3-13.2 ms) and win at 2^19 (21.7 against 23.0-29.3 ms) and 2^20 (43
+# against 59 ms); the other (median of 9 calls) had it lose at 2^16 + 1
+# (6.6 against 4.0 ms) and 2^17 + 1 (10.6 against 7.1 ms), win 8 of 10 at
+# 2^18 + 1 (12.5 against 14.3 ms), and win at 2^19 + 1 (25.1 against 32.1
+# ms) and 2^20 + 1 (42.3 against 67.1 ms).
+_MI_POOL_ROWS = 2**18
 
 
 def _default_threads() -> int:
@@ -118,13 +120,16 @@ def _default_threads() -> int:
 def _map_ordered(fn, count: int, threads: int) -> list:
     """Apply fn to 0..count-1 on a pool of threads, collecting in index order.
 
-    Runs serially for one thread or one item.  The first exception in index
-    order propagates.
+    Runs serially, in index order, for one thread or one item.  The pool
+    starts the last item first, so a caller lists its longest item last.
+    Results, and the first exception in index order, come back in index
+    order.
     """
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(min(threads, count)) as pool:
-        return list(pool.map(fn, range(count)))
+        futures = [pool.submit(fn, i) for i in reversed(range(count))]
+        return [future.result() for future in reversed(futures)]
 
 
 class EstimatorFailure(EntroboundError):
@@ -221,21 +226,11 @@ def estimate_mi_certified(samples, k1: int, L: float, delta: float) -> EstimateR
     k1 = as_int("k1", k1)
     if k1 >= joint.shape[1]:
         raise ValueError(f"k1 must lie in [1, K - 1], got {k1!r} with K = {joint.shape[1]}")
-    terms = (joint, joint[:, :k1], joint[:, k1:])  # the joint starts first
-
-    def term(i: int):
-        try:
-            return estimate_entropy_certified(terms[i], L, delta / 3.0)
-        except Exception as exc:  # re-raised below, in x, y, joint order
-            return exc
-
-    joint_part, *marginals = _map_ordered(
-        term, len(terms), _default_threads() if joint.shape[0] > _MI_POOL_ROWS else 1
-    )
-    parts = (*marginals, joint_part)
-    for part in parts:  # x's error wins over y's, y's over the joint's
-        if isinstance(part, Exception):
-            raise part
+    terms = (joint[:, :k1], joint[:, k1:], joint)  # the pool starts the joint first
+    parts = tuple(_map_ordered(
+        lambda i: estimate_entropy_certified(terms[i], L, delta / 3.0), len(terms),
+        _default_threads() if joint.shape[0] > _MI_POOL_ROWS else 1,
+    ))
     h_x, h_y, h_xy = (p.estimate for p in parts)
     quant = sum(p.bound.quant_bias for p in parts)
     stat = sum(p.bound.stat_dev for p in parts)

@@ -68,7 +68,21 @@ def test_threads_on_no_command(command, capsys):
     (["estimate", "--n", "x"], "error: invalid: argument --n: invalid int value: 'x'\n"),
     ([], "error: invalid: the following arguments are required: command\n"),
     (["estimat"], "error: invalid: argument command: invalid choice: 'estimat'"),
-], ids=["bad-int", "no-command", "unknown-command"])
+    (["estimate", "--density", "tent", "--k", "1", "--delta", "0.1", "--n", "10"],
+     "error: invalid: estimate: missing required option --l\n"),
+    (["coverage", "--k", "1", "--l", "4", "--n", "10", "--delta", "0.1", "--trials", "10"],
+     "error: invalid: coverage: requires --density\n"),
+    (["bound", "--k", "1", "--l=-1", "--m", "10", "--n", "10", "--delta", "0.1"],
+     "error: invalid: l must be positive, got -1.0\n"),
+    (["bound", "--k", "0", "--l", "4", "--m", "10", "--n", "10", "--delta", "0.1"],
+     "error: invalid: k must be >= 1, got 0\n"),
+    (["prop1-demo", "--c=-1", "--delta", "0.1", "--n", "10", "--trials", "10"],
+     "error: invalid: c must be positive, got -1.0\n"),
+    (["estimate", "--input", "x.csv", "--format", "xml", "--k", "1", "--l", "4",
+      "--delta", "0.1"],
+     "error: invalid: format must be csv or f64le, got 'xml'\n"),
+], ids=["bad-int", "no-command", "unknown-command", "missing-l", "coverage-no-density",
+        "negative-l", "zero-k", "negative-c", "unknown-format"])
 def test_usage_error_is_one_line(argv, message, capsys):
     code, out, err = run_cli(argv, capsys)
     assert (code, out) == (2, "")
@@ -991,6 +1005,13 @@ class TestConfigFile:
         code, out, err = run_cli(["bound", "--config", str(cfg)], capsys)
         assert (code, out) == (2, "")
         assert err == "error: invalid: argument --n: invalid int value: '1e3'\n"
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("oops\n")
+        code, out, err = run_cli(["bound", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: invalid: config line 1: expected 'key = value', got 'oops'\n"
 
     def test_leading_flag_without_command_in_file(self, tmp_path, capsys):
         cfg = tmp_path / "nocmd.cfg"

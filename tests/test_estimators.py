@@ -171,7 +171,7 @@ class TestOneMatrix:
     @pytest.mark.parametrize("k1", [1, 2])
     @pytest.mark.parametrize("layout", list(_layouts()))
     def test_terms_are_views_for_any_layout(self, layout, k1, monkeypatch):
-        """x, y and the joint are views of the input and give its copy's bits."""
+        """x, y and the joint, in any order, are views of the input and give its copy's bits."""
         samples = _layouts()[layout]
         expected = _report_bits(estimate_mi_certified(np.ascontiguousarray(samples), k1,
                                                       16.0, 0.1))
@@ -185,34 +185,41 @@ class TestOneMatrix:
         monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
         report = estimate_mi_certified(samples, k1, 16.0, 0.1)
         assert _report_bits(report) == expected
-        assert [term.shape[1] for term in seen] == [3, k1, 3 - k1]
+        assert sorted(term.shape[1] for term in seen) == sorted([3, k1, 3 - k1])
         assert all(np.shares_memory(term, samples) for term in seen)
 
 
 @pytest.mark.parametrize("k1, k2", [(1, 2), (2, 1)])
 def test_joint_term_starts_first(k1, k2, monkeypatch):
-    """The joint, about half the work, starts before either marginal."""
-    monkeypatch.setenv("ENTROBOUND_THREADS", "1")
-    pts = generator(62).random((2**16 + 1, k1 + k2))
-    started = []
-    certified = estimators.estimate_entropy_certified
+    """The pool is handed the joint, about half the work, before either marginal."""
+    pts = generator(62).random((2**18 + 1, k1 + k2))
+    submitted = []
 
-    def spy(term, *args, **kwargs):
-        started.append("joint" if term.shape[1] == k1 + k2
-                       else "x" if np.shares_memory(term, pts[:, 0]) else "y")
-        return certified(term, *args, **kwargs)
+    class RecordingExecutor(estimators.ThreadPoolExecutor):
+        def submit(self, fn, i):
+            submitted.append(i)
+            return super().submit(fn, i)
 
-    monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
-    report = estimate_mi_certified(pts, k1, 2.0 ** (k1 + k2 + 1), 0.1)
-    assert started[0] == "joint" and sorted(started[1:]) == ["x", "y"]
-    assert [part.params.K for part in report.components] == [k1, k2, k1 + k2]
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", RecordingExecutor)
+    for threads in ("2", "3"):
+        submitted.clear()
+        monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+        report = estimate_mi_certified(pts, k1, 2.0 ** (k1 + k2 + 1), 0.1)
+        assert submitted == [2, 1, 0]
+        assert [part.params.K for part in report.components] == [k1, k2, k1 + k2]
+
+
+@pytest.fixture
+def pool_cut_2_16(monkeypatch):
+    """Lowers the MI term pool's cut from 2^18 to 2^16 rows, so smaller inputs reach it."""
+    monkeypatch.setattr(estimators, "_MI_POOL_ROWS", 2**16)
 
 
 _BLOCK_NS = [2**16 + 1, 3 * 2**16 + 5]
 
 
 class TestThreadCountInvariance:
-    """MI estimates on more than 2^16 rows run their three terms on a pool."""
+    """MI estimates above the pool cut run their three terms on a pool."""
 
     @pytest.mark.parametrize("N", _BLOCK_NS)
     @pytest.mark.parametrize("K, M", [(1, None), (2, None), (3, None), (1, 2**22), (2, 2**11),
@@ -228,7 +235,7 @@ class TestThreadCountInvariance:
 
     @pytest.mark.parametrize("N", _BLOCK_NS)
     @pytest.mark.parametrize("k1, k2", [(1, 1), (1, 2), (2, 1)])
-    def test_mi_report(self, k1, k2, N, monkeypatch):
+    def test_mi_report(self, k1, k2, N, pool_cut_2_16, monkeypatch):
         pts = generator(80 + k1).random((N, k1 + k2))
         bits = set()
         for threads in ("1", "2", "3"):
@@ -244,15 +251,21 @@ class TestTermPool:
         (2**16 + 1, "8", [3]), (2**16, "3", []),
     ])
     def test_one_pool_of_at_most_three_above_one_block(self, N, threads, made, executors,
-                                                       monkeypatch):
+                                                       pool_cut_2_16, monkeypatch):
         monkeypatch.setenv("ENTROBOUND_THREADS", threads)
         pts = generator(90).random((N, 2))
         estimate_mi_certified(pts, 1, 8.0, 0.1)
         assert executors == made
 
+    @pytest.mark.parametrize("N, made", [(2**18 + 1, [3]), (2**18, [])])
+    def test_pool_above_2_18_rows(self, N, made, executors, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", "3")
+        estimate_mi_certified(generator(91).random((N, 2)), 1, 8.0, 0.1)
+        assert executors == made
+
     def test_x_term_error_comes_first(self, monkeypatch):
         """The row is outside the cube in x and in the joint: x's error wins."""
-        pts = generator(92).random((2**16 + 1, 3))
+        pts = generator(92).random((2**18 + 1, 3))
         pts[65536, 0] = 1.5
         messages = set()
         for threads in ("1", "3"):
@@ -272,7 +285,7 @@ class TestTermPool:
 
         Only y is bad at k1 = 1; x is bad, and wider than y, at k1 = 2.
         """
-        pts = generator(92).random((2**16 + 1, 3))
+        pts = generator(92).random((2**18 + 1, 3))
         pts[65536] = 0.25
         pts[65536, bad_column] = 1.5
         messages = set()

@@ -2,6 +2,7 @@
 import collections
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import FrozenInstanceError
@@ -221,6 +222,20 @@ class TestThreadCountInvariance:
 
         with pytest.raises(KeyError, match="1"):
             _map_ordered(fail_on_odd, 6, 3)
+
+        last_failed = threading.Event()
+
+        def fail_first_after_last(i):
+            if i == 1:
+                return i
+            if i == 0:
+                last_failed.wait(10)
+            else:
+                last_failed.set()
+            raise KeyError(i)
+
+        with pytest.raises(KeyError, match="0"):
+            _map_ordered(fail_first_after_last, 3, 3)
 
 
 class TestDefaultThreads:
