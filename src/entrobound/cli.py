@@ -31,6 +31,10 @@ serially, so pools never nest.  Output is the same for any thread count.
 ``LazySample``, which is drawn block by block as it is binned, so neither
 holds an N-row sample; ``mi-estimate --density`` still draws its columns
 whole.
+A command imports only what it runs: ``verify-lemmas`` imports the
+quadrature oracle when it starts, ``kl-demo`` through ``estimators.kl_demo``,
+and ``shlex`` is imported only to split an ``--estimator``; so ``estimate``,
+``mi-estimate`` and ``coverage`` load neither.
 """
 from __future__ import annotations
 
@@ -38,7 +42,6 @@ import argparse
 import math
 import csv as _csv
 import os
-import shlex
 import stat
 import sys
 import time
@@ -62,19 +65,6 @@ from .estimators import (
     kl_demo,
     mi_adversary_demo,
     prop1_demo,
-)
-from .oracle import (
-    _cell_midpoints,
-    _grid_chunks,
-    check_density_gap,
-    check_entropy_continuity,
-    check_sup_bound,
-    check_xlogx_gap,
-    exact_discrete_entropy,
-    expected_plugin_entropy_enum,
-    integrate_box,
-    numeric_entropy,
-    quantized_companion,
 )
 from .rng import generator, split
 
@@ -377,6 +367,8 @@ def _cmd_coverage(config: argparse.Namespace):
 def _external_estimator(config: argparse.Namespace):
     if config.estimator is None:
         return None
+    import shlex
+
     try:
         return ExternalEstimator(shlex.split(config.estimator))
     except ValueError as exc:
@@ -416,6 +408,20 @@ _XLOGX_PAIRS = 10**6
 
 
 def _cmd_verify_lemmas(config: argparse.Namespace):
+    from .oracle import (
+        _cell_midpoints,
+        _grid_chunks,
+        check_density_gap,
+        check_entropy_continuity,
+        check_sup_bound,
+        check_xlogx_gap,
+        exact_discrete_entropy,
+        expected_plugin_entropy_enum,
+        integrate_box,
+        numeric_entropy,
+        quantized_companion,
+    )
+
     K = config.k
     tent = tent_density(K)
     L = tent.lipschitz_L

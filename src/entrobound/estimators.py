@@ -31,12 +31,17 @@ each public demo supplies only its pilot draw, its score and its planted
 construction.  The harnesses accept any estimator as a callable mapping a
 sample-row matrix to one float, including external processes (see
 ``ExternalEstimator``).
+
+Only the code that needs them imports ``subprocess`` (an
+``ExternalEstimator`` call) and the quadrature oracle (``kl_demo``), so a
+certified estimate loads neither.  ``concurrent.futures`` is imported with
+this module: both pooled commands run the pool, and tests replace
+``ThreadPoolExecutor`` here.
 """
 from __future__ import annotations
 
 import math
 import os
-import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -63,7 +68,6 @@ from .histogram import (
     _rows,
     estimate_differential_entropy,
 )
-from .oracle import kl_true_divergence
 from .rng import generator, split
 
 __all__ = [
@@ -354,6 +358,8 @@ class ExternalEstimator:
             raise ValueError("the command names no program")
 
     def __call__(self, samples) -> float:
+        import subprocess
+
         rows = _as_points(samples)
         payload = "\n".join(",".join(f"{v:.17g}" for v in row) for row in rows) + "\n"
         try:
@@ -564,6 +570,8 @@ def kl_demo(
     probability at least 1 - delta/2, the estimate stays at or below c, and
     the true relative entropy D(a, k) >= c + C.
     """
+    from .oracle import kl_true_divergence
+
     def gap(c: float) -> float:
         return math.log(4.0 * N / delta)
 

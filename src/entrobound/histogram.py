@@ -187,15 +187,23 @@ def _quantize_block(block: np.ndarray, start: int, M: int) -> np.ndarray:
     Certified floor.  Let i = floor(f) and r = f - i, which is exact
     (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
     delta <= r <= 1 - delta keep i; the others go through the exact edge
-    fix-up of ``_fix_edges``.  Proof that an unflagged i is what the fix-up
-    would return: |f - xM| <= uM since x <= 1, so
-    i/M + 3u <= x <= (i+1)/M - 3u.  As |fl(j/M) - j/M| <= u for j <= M,
-    fl(i/M) < x < fl((i+1)/M), and fl is monotone, so i is the largest
-    index whose edge is <= x; and i <= M - 1 because i/M < x <= 1.  So the
-    clamp and both +-1 steps leave i unchanged.  The compares on r are
-    exact (delta and 1 - delta are multiples of 2^-51), so the factor 2 in
-    delta is slack.  For M >= 2^50, delta >= 1/2 flags every element.
-    Since i <= M <= 2^53, the floor is exact in int64 too.
+    fix-up of ``_fix_edges``.  Proof that an i with uM <= r <= 1 - uM is
+    the rule's index, so that the clamp and both +-1 steps leave it
+    unchanged.  First, i <= M - 1, as r > 0 and f <= M.  Low edge:
+    fl(i/M) <= x.  Otherwise x < i/M (if fl(i/M) > i/M, x is at most the
+    float below fl(i/M), which lies below i/M), so xM < i; i is a float,
+    so f <= i and r = 0.  High edge, for j = i + 1 <= M - 1: x < fl(j/M).
+    Otherwise, as f < j rules out fl(j/M) >= j/M, fl(j/M) = j/M - d with
+    0 < d <= 2^e u, where 2^e < j/M < 2^(e+1) and e <= -1.  So
+    j - Md <= xM < j.  Floats below j, with 2^g < j <= 2^(g+1), are
+    s = 2^(g+1) u apart, and f < j needs Md >= s/2, so M 2^e >= 2^g; then
+    j - f <= Md + s/2 <= (M 2^e + 2^g) u < 3s/2, as M 2^e < j.  A multiple
+    of s, j - f is s.  And M > 2^(g+1): M >= 2^(g-e) >= 2^(g+1), with
+    equality only when M is a power of two, where j/M is a float and d = 0.
+    So 1 - r = s < uM.  The compares on r are exact (delta and 1 - delta
+    are multiples of 2^-51), and delta >= uM, so its factor 4 is slack.
+    For M >= 2^50, delta >= 1/2 flags every element.  Since i <= M <= 2^53,
+    the floor is exact in int64 too.
 
     The fix-up runs on the whole block when any of its elements is flagged:
     it leaves unflagged elements as they are, and random data below

@@ -765,7 +765,6 @@ class TestVerifyLemmas:
             names.append(model.name)
             return real(model, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "numeric_entropy", counted)
         monkeypatch.setattr(oracle, "numeric_entropy", counted)
         monkeypatch.chdir(tmp_path)
         argv, csv_digest, meta_digest = _GOLDEN_RUNS["verify-lemmas-k2"]
@@ -798,6 +797,16 @@ class TestVerifyLemmas:
         assert (code, stdout) == (2, "")
         assert err.startswith("error: invalid: unrecognized arguments: --tol")
         assert len(err.splitlines()) == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_quadrature_budget_exhausted_is_one_line(self, tmp_path, capsys, monkeypatch):
+        """A quadrature that runs out of points fails the run: exit 1, no output."""
+        monkeypatch.setattr(oracle, "_MAX_POINTS_PER_LEVEL", 2**12)
+        out = tmp_path / "lem.csv"
+        code, stdout, err = run_cli(["verify-lemmas", "--k", "2", "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == ("error: failed: integration did not reach tol=1e-05 within the "
+                       "4096 points-per-level budget (K=2)\n")
         assert list(tmp_path.iterdir()) == []
 
     # "," names no bin count, so no per-M check would run.
