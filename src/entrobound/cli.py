@@ -16,7 +16,10 @@ below the validity threshold), and 1 on I/O, data-format or out-of-memory
 errors.  Errors print one machine-parsable line to standard error:
 ``error: <kind>: <detail>``.  Usage errors (an unknown command or option, a
 missing command, a value of the wrong type or none) and numbers beyond float
-range are exit 2 with one ``error: invalid:`` line.
+range are exit 2 with one ``error: invalid:`` line.  Standard output that
+cannot be written (a closed pipe, a full disk) is exit 1 with one
+``error: io:`` line, and an interrupt (SIGINT) is exit 130 with the line
+``error: interrupted``.
 
 Configs can be stored as flat ``key = value`` files mirroring the flags
 (``--config FILE`` or ``--config=FILE``); each line is read as the flag
@@ -30,7 +33,10 @@ serially, so pools never nest.  Output is the same for any thread count.
 ``estimate --density`` and each ``coverage`` trial hand the estimator a
 ``LazySample``, which is drawn block by block as it is binned, so neither
 holds an N-row sample; ``mi-estimate --density`` still draws its columns
-whole.
+whole.  An ``--input`` f64le file is mapped, not copied (see ``ingest``),
+and ``estimate`` and ``mi-estimate`` scan it for non-finite values only
+when the estimate fails: binning rejects NaN and infinities in every column,
+so the error a non-finite value gives is the same.
 A command imports only what it runs: ``verify-lemmas`` imports the
 quadrature oracle when it starts, ``kl-demo`` through ``estimators.kl_demo``,
 and ``shlex`` is imported only to split an ``--estimator``; so ``estimate``,
@@ -131,13 +137,22 @@ def parse_config_text(text: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
+def ingest(path, format: str = "csv", k: int | None = None, *,
+           check_finite: bool = True) -> np.ndarray:
     """Load sample points from a CSV or little-endian float64 binary file.
 
     CSV: one point per line, comma-separated decimal fields; a header line is
-    detected by a non-numeric first token.  f64le: packed little-endian
-    8-byte floats, row-major, k per row (k required).  Non-finite values are
-    rejected.
+    detected by a non-numeric first token.  Non-finite values are rejected
+    as each line is parsed.  f64le: packed little-endian 8-byte floats,
+    row-major, k per row (k required).  A regular f64le file of nonzero size
+    is mapped copy-on-write, not copied: the array is writable and its writes
+    stay in this process.  The file must not be truncated or rewritten while
+    the array is in use: truncation raises SIGBUS on the next read of a lost
+    page, and a rewrite can show later reads different data.  A pipe or
+    device, which has no size until it has been read, and an empty file are
+    read into memory.  The whole f64le array is then scanned for non-finite
+    values, unless ``check_finite`` is false; a caller that skips the scan
+    runs ``_reject_non_finite`` itself before it trusts the values.
     """
     path = Path(path)
     if k is not None:
@@ -177,26 +192,32 @@ def ingest(path, format: str = "csv", k: int | None = None) -> np.ndarray:
             raise ValueError("f64le ingestion requires the point dimension k")
         with open(path, "rb") as fh:
             info = os.fstat(fh.fileno())
-            # A regular file is read once, straight into the returned array;
-            # a pipe or device has no size until it has been read.
-            raw = None if stat.S_ISREG(info.st_mode) else bytearray(fh.read())
-            size = info.st_size if raw is None else len(raw)
+            # mmap refuses length 0, and a pipe or device has no size yet.
+            mapped = stat.S_ISREG(info.st_mode) and info.st_size > 0
+            raw = None if mapped else bytearray(fh.read())
+            size = info.st_size if mapped else len(raw)
             if size % (8 * k) != 0:
                 raise IngestError(
                     f"{path}: byte length {size} is not a multiple of 8*k={8 * k}"
                 )
-            if raw is None:
-                arr = np.fromfile(fh, dtype="<f8")
-            else:
-                arr = np.frombuffer(raw, dtype="<f8")
-        arr = arr.reshape(-1, k)
-        if not np.all(np.isfinite(arr)):
-            offset = int(np.argmax(~np.isfinite(arr).all(axis=1)))
-            raise IngestError(f"{path}: non-finite value at row {offset}")
+            if mapped:
+                import mmap
+
+                raw = mmap.mmap(fh.fileno(), size, access=mmap.ACCESS_COPY)
+        arr = np.frombuffer(raw, dtype="<f8").reshape(-1, k)
+        if check_finite:
+            _reject_non_finite(arr, path)
         if arr.shape[0] == 0:
             raise IngestError(f"{path}: no data rows")
         return arr
     raise ValueError(f"unknown format {format!r} (expected csv or f64le)")
+
+
+def _reject_non_finite(arr: np.ndarray, path) -> None:
+    """Raise ingest's error naming the first row of arr with a NaN or infinity."""
+    if not np.all(np.isfinite(arr)):
+        offset = int(np.argmax(~np.isfinite(arr).all(axis=1)))
+        raise IngestError(f"{path}: non-finite value at row {offset}")
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +297,26 @@ def _load_density(config: argparse.Namespace, option: str):
 def _entropy_samples(config: argparse.Namespace):
     """The --input array, or the --density draw as a ``LazySample``."""
     if config.input is not None:
-        return ingest(config.input, config.format, k=config.k)
+        return ingest(config.input, config.format, k=config.k, check_finite=False)
     _require(config, "n")
     return LazySample(_load_density(config, "k"), config.n, config.seed)
+
+
+def _certify(config: argparse.Namespace, estimate, pts, *args):
+    """``estimate(pts, *args)``, running ingest's non-finite scan of an --input
+    array only if the estimate raises.
+
+    Binning checks every value it reads against the unit cube, a check that
+    NaN and infinities fail, and every column is binned, so an estimate that
+    returns had finite input.  When it raises, the scan runs, so a non-finite
+    value still gives ingest's error, as when ingest scanned first.
+    """
+    try:
+        return estimate(pts, *args)
+    except Exception:
+        if config.input is not None:
+            _reject_non_finite(pts, Path(config.input))
+        raise
 
 
 def _cmd_bound(config: argparse.Namespace):
@@ -312,7 +350,7 @@ def _certificate(report) -> dict:
 def _cmd_estimate(config: argparse.Namespace):
     _require(config, "l", "delta")
     pts = _entropy_samples(config)
-    report = estimate_entropy_certified(pts, config.l, config.delta, M=config.m)
+    report = _certify(config, estimate_entropy_certified, pts, config.l, config.delta, config.m)
     row = {**_certificate(report), "M": report.params.M, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)} M={report.params.M}"
     return list(row), [row], line
@@ -322,12 +360,12 @@ def _cmd_mi_estimate(config: argparse.Namespace):
     _require(config, "l", "delta")
     k1, k2 = config.k1, config.k2
     if config.input is not None:
-        pts = ingest(config.input, config.format, k=k1 + k2)
+        pts = ingest(config.input, config.format, k=k1 + k2, check_finite=False)
     else:
         _require(config, "n")
         pts = np.hstack([sample(_load_density(config, option), config.n, split(config.seed, i))
                          for i, option in enumerate(("k1", "k2"))])
-    report = estimate_mi_certified(pts, k1, config.l, config.delta)
+    report = _certify(config, estimate_mi_certified, pts, k1, config.l, config.delta)
     m_x, m_y, m_xy = (part.params.M for part in report.components)
     row = {**_certificate(report), "m_x": m_x, "m_y": m_y, "m_xy": m_xy, "N": report.params.N}
     line = f"estimate={_fmt(report.estimate)} total_bound={_fmt(report.bound.total)}"
@@ -577,7 +615,8 @@ def run(config: argparse.Namespace) -> int:
 
     ``config`` is what ``build_parser(command).parse_args`` returns: the
     command and every option in ``_OPTIONS``, each at its default unless it
-    was given.
+    was given.  The summary line is printed after ``--out`` and its sidecar
+    are renamed into place, so when standard output fails both files stay.
     """
     started = time.monotonic()
     _validate_config(config)
@@ -668,7 +707,9 @@ def main(argv: list[str] | None = None) -> int:
         # token that is not a flag as the command: when that is a command
         # name, it is the first command name in argv.
         command = next((arg for arg in argv if arg in _COMMANDS), None)
-        return run(build_parser(command).parse_args(argv))
+        code = run(build_parser(command).parse_args(argv))
+        sys.stdout.flush()  # a closed pipe or a full disk fails here, not at exit
+        return code
     except ValidityError as exc:
         print(f"error: validity: {exc}", file=sys.stderr)
         return 2
@@ -677,6 +718,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (IngestError, OSError) as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        _silence_failed_stdout()
         return 1
     except EntroboundError as exc:
         print(f"error: failed: {exc}", file=sys.stderr)
@@ -684,6 +726,24 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError as exc:
         print(f"error: failed: out of memory: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
+
+
+def _silence_failed_stdout() -> None:
+    """Point stdout's descriptor at os.devnull if stdout cannot be flushed.
+
+    A write that failed leaves its bytes buffered, and the interpreter's
+    flush at exit would fail again and print a second error.  This is the
+    recipe of the Python docs' note on SIGPIPE.
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -127,13 +127,20 @@ def _map_ordered(fn, count: int, threads: int) -> list:
     Runs serially, in index order, for one thread or one item.  The pool
     starts the last item first, so a caller lists its longest item last.
     Results, and the first exception in index order, come back in index
-    order.
+    order.  Item 0, collected first, starts last, so an item's own exception
+    surfaces only once every item has started; an exception raised while
+    waiting, such as ``KeyboardInterrupt``, cancels the items that have not
+    started and waits only for the running ones.
     """
     if threads <= 1 or count <= 1:
         return [fn(i) for i in range(count)]
     with ThreadPoolExecutor(min(threads, count)) as pool:
-        futures = [pool.submit(fn, i) for i in reversed(range(count))]
-        return [future.result() for future in reversed(futures)]
+        try:
+            futures = [pool.submit(fn, i) for i in reversed(range(count))]
+            return [future.result() for future in reversed(futures)]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 class EstimatorFailure(EntroboundError):

@@ -1,12 +1,15 @@
 """CLI: commands, exit codes, file formats, config files, determinism."""
 import errno
 import hashlib
+import itertools
 import math
 import os
 import shlex
+import signal
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from entrobound import cli, densities, oracle
+from entrobound import cli, densities, estimators, oracle
 from entrobound.densities import tent_density
 from entrobound.cli import ingest, main
 from entrobound.errors import IngestError
@@ -1163,3 +1166,199 @@ def test_f64le_errors_keep_message_and_exit_code(tmp_path, capsys):
             capsys,
         )
         assert (code, out, err) == (1, "", message + "\n")
+
+
+def test_f64le_ingest_makes_no_copy(tmp_path):
+    """A regular f64le file is mapped, not copied: with the non-finite scan
+    on, the traced peak is the scan's mask, an eighth of the array."""
+    pts = np.random.default_rng(9).random((2**17, 3))
+    path = tmp_path / "d.bin"
+    emit_f64le(path, pts)
+    tracemalloc.start()
+    try:
+        got = ingest(path, "f64le", k=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == pts.tobytes()
+    assert peak < pts.nbytes // 4
+
+
+_PLANTED = [math.nan, -math.nan, math.inf, -math.inf, -0.5, 1.5, -0.0, 1.0]
+
+
+@st.composite
+def _planted_case(draw):
+    """(argv of estimate or mi-estimate without --input, rows, threads)."""
+    command = draw(st.sampled_from(["estimate", "mi-estimate"]))
+    if command == "estimate":
+        k = draw(st.integers(1, 2))
+        m = draw(st.sampled_from([None, 2, 40]))  # 2 is below the validity threshold
+        argv = ["estimate", "--k", str(k)] + ([] if m is None else ["--m", str(m)])
+    else:
+        k1, k2 = draw(st.sampled_from([(1, 1), (1, 2), (2, 1)]))
+        k = k1 + k2
+        argv = ["mi-estimate", "--k1", str(k1), "--k2", str(k2)]
+    n = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rows = np.random.default_rng(seed).random((n, k))
+    for row, col, value in draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, k - 1), st.sampled_from(_PLANTED)),
+            max_size=4)):
+        rows[row, col] = value
+    return argv + ["--format", "f64le", "--l", "4", "--delta", "0.1"], rows, draw(
+        st.sampled_from(["1", "2"]))
+
+
+def test_deferred_non_finite_scan_matches_eager_scan(tmp_path, monkeypatch, capsys):
+    """estimate and mi-estimate scan an f64le input for NaN and infinities
+    only when the estimate fails.  The outcome must be what scanning in
+    ingest first gives: ingest's line for the first non-finite row if there
+    is one, even when an invalid --m fails before any binning, else the
+    command's own result."""
+    eager = cli.ingest
+    files = itertools.count()
+
+    @settings(max_examples=300)
+    @given(case=_planted_case())
+    def check(case):
+        argv, rows, threads = case
+        monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+        path = tmp_path / f"{next(files)}.f64le"
+        emit_f64le(path, rows)
+        argv = argv + ["--input", str(path)]
+        deferred = run_cli(argv, capsys)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "ingest", lambda path, fmt, k=None, **_: eager(path, fmt, k))
+            reference = run_cli(argv, capsys)
+        assert deferred == reference, argv
+        bad = ~np.isfinite(rows).all(axis=1)
+        if bad.any():
+            message = f"error: io: {path}: non-finite value at row {int(np.argmax(bad))}\n"
+            assert deferred == (1, "", message)
+
+    check()
+
+
+def _cli_child_env():
+    """The environment of a CLI child with stdout block-buffered, as in a shell."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("argv", [
+    ["bound", "--k", "1", "--l", "4", "--m", "16", "--n", "1000", "--delta", "0.1"],
+    ["estimate", "--density", "tent", "--k", "1", "--l", "4", "--n", "1000", "--delta", "0.1"],
+], ids=["bound", "estimate"])
+def test_failed_stdout_is_one_line(argv, sink, tmp_path):
+    """stdout that cannot be written is exit 1 with one 'error: io:' line,
+    and the interpreter's own flush at exit stays silent; the --out files
+    are already in place."""
+    if sink == "closed pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+        expected = f"error: io: [Errno {errno.EPIPE}] "
+    elif os.path.exists(sink):
+        stdout = os.open(sink, os.O_WRONLY)
+        expected = f"error: io: [Errno {errno.ENOSPC}] "
+    else:
+        pytest.skip(f"no {sink}")
+    out = tmp_path / "r.csv"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobound.cli", *argv, "--out", str(out)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, env=_cli_child_env(),
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(expected), proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["r.csv", "r.csv.meta"]
+
+
+@pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_interrupted_coverage_is_one_line(threads, tmp_path, monkeypatch, capsys):
+    """SIGINT is exit 130 with one line; the trials that have not started
+    are cancelled, and no temporary output is left.  On the pool, the first
+    trial sends the signal once every trial has been submitted."""
+    monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+    trials = 200
+    submitted = threading.Event()
+
+    class Executor(estimators.ThreadPoolExecutor):
+        count = 0
+
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            self.count += 1
+            if self.count == trials:
+                submitted.set()
+            return future
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", Executor)
+    estimate = cli.estimate_entropy_certified
+    started = []
+
+    def first_trial_interrupts(*args, **kwargs):
+        started.append(None)
+        if len(started) == 1:
+            assert threads == "1" or submitted.wait(timeout=60)
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "estimate_entropy_certified", first_trial_interrupts)
+    code, out, err = run_cli(
+        ["coverage", "--density", "tent", "--k", "1", "--l", "4", "--n", "1000",
+         "--delta", "0.1", "--trials", str(trials), "--out", str(tmp_path / "cov.csv")],
+        capsys,
+    )
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert len(started) < trials
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals and flock")
+def test_interrupt_ends_the_estimator_child(tmp_path):
+    """SIGINT to a demo kills its running --estimator child before exit 130.
+
+    The child holds a lock on its marker file while it lives: a process's
+    locks are released when it dies, before anyone reaps it."""
+    import fcntl
+
+    marker = tmp_path / "child.lock"
+    script = tmp_path / "slow.py"
+    script.write_text(
+        "import fcntl, os, sys, time\n"
+        "fh = open(sys.argv[1] + '.tmp', 'w')\n"
+        "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+        "os.replace(fh.name, sys.argv[1])\n"
+        "time.sleep(600)\n"
+    )
+    estimator = " ".join(shlex.quote(str(arg)) for arg in (sys.executable, script, marker))
+    parent = subprocess.Popen(
+        [sys.executable, "-m", "entrobound.cli", "prop1-demo", "--c", "1", "--delta", "0.1",
+         "--n", "10", "--trials", "10", "--estimator", estimator],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_cli_child_env(),
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while not marker.exists():  # the child is running and holds the lock
+            assert parent.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        parent.send_signal(signal.SIGINT)
+        out, err = parent.communicate(timeout=120)
+    finally:
+        parent.kill()
+    assert (parent.returncode, out, err) == (130, "", "error: interrupted\n")
+    with open(marker) as fh:
+        deadline = time.monotonic() + 30
+        while True:  # the parent sent SIGKILL without waiting for the child
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                break
+            except BlockingIOError:
+                assert time.monotonic() < deadline, "the estimator child outlived its parent"
+                time.sleep(0.01)
