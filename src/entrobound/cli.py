@@ -27,9 +27,10 @@ Configs can be stored as flat ``key = value`` files mirroring the flags
 file may also name the command (``command = bound``); the command line may
 then start with flags (``--config exp.cfg --n 2000``).
 The ``coverage`` trials, and ``mi-estimate``'s three entropy terms on more
-than 2^18 rows, run on worker pools of ENTROBOUND_THREADS threads, else of
-the CPUs this process may run on (at most 32).  Histograms are always built
-serially, so pools never nest.  Output is the same for any thread count.
+than 2^18 rows, run on the process's one worker pool of ENTROBOUND_THREADS
+threads, else of the CPUs this process may run on (at most 32).  Histograms
+are always built serially, so the pool never nests.  Output is the same
+for any thread count.
 ``estimate --density`` and each ``coverage`` trial hand the estimator a
 ``LazySample``, which is drawn block by block as it is binned, so neither
 holds an N-row sample; ``mi-estimate --density`` still draws its columns

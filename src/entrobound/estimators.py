@@ -19,6 +19,17 @@ workers run it beside the two marginals back to back, three run all at once.
 Results and errors come back in index order: when several terms fail, x's
 error is raised first.
 
+The pool is one per process.  The first pooled call builds it, at the
+width ``_default_threads()`` gives, and later calls submit to it, so
+repeated estimates run on warm workers that keep their binning workspaces
+(see ``histogram``); a call at another width (``ENTROBOUND_THREADS``
+changed) replaces it.  One lock guards building, replacing and submitting.
+A call interrupted while it waits cancels only its own unstarted items and
+waits for its running ones; it never shuts the shared pool down.  An item
+that calls ``_map_ordered`` itself runs the inner items serially on its
+worker, and a forked child drops the pool it inherits and makes its lock
+anew.  Idle workers do not delay interpreter exit.
+
 The demo harnesses construct the distributions on which a fixed estimator
 must fail: a contamination mixture whose entropy sits far from anything the
 samples reveal, a joint law whose mutual information hides in a rare
@@ -35,14 +46,15 @@ sample-row matrix to one float, including external processes (see
 Only the code that needs them imports ``subprocess`` (an
 ``ExternalEstimator`` call) and the quadrature oracle (``kl_demo``), so a
 certified estimate loads neither.  ``concurrent.futures`` is imported with
-this module: both pooled commands run the pool, and tests replace
-``ThreadPoolExecutor`` here.
+this module, though the pool is built on first use: both pooled commands
+run the pool, and tests replace ``ThreadPoolExecutor`` here.
 """
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,15 +104,30 @@ _MAX_DEFAULT_THREADS = 32
 
 # The three MI terms run on the pool only on more than this many rows.  Two
 # measurements on tent rows (K = 3, k1 = 1; 2 threads against serial, 10
-# alternating runs, 2-vCPU hosts, numpy 2.4) put break-even near 2^18: one
-# (median of 15 calls) had the pool lose at 2^16 (4.0-4.5 against 3.6-3.8
-# ms) and 2^17 (7.0 against 6.5 ms), win 3 of 10 at 2^18 (12.4-13.4 against
-# 11.3-13.2 ms) and win at 2^19 (21.7 against 23.0-29.3 ms) and 2^20 (43
-# against 59 ms); the other (median of 9 calls) had it lose at 2^16 + 1
-# (6.6 against 4.0 ms) and 2^17 + 1 (10.6 against 7.1 ms), win 8 of 10 at
-# 2^18 + 1 (12.5 against 14.3 ms), and win at 2^19 + 1 (25.1 against 32.1
-# ms) and 2^20 + 1 (42.3 against 67.1 ms).
+# alternating runs, 2-vCPU hosts, numpy 2.4), with a new pool per call, put
+# break-even near 2^18: one (median of 15 calls) had the pool lose at 2^16
+# (4.0-4.5 against 3.6-3.8 ms) and 2^17 (7.0 against 6.5 ms), win 3 of 10 at
+# 2^18 (12.4-13.4 against 11.3-13.2 ms) and win at 2^19 (21.7 against
+# 23.0-29.3 ms) and 2^20 (43 against 59 ms); the other (median of 9 calls)
+# had it lose at 2^16 + 1 (6.6 against 4.0 ms) and 2^17 + 1 (10.6 against
+# 7.1 ms), win 8 of 10 at 2^18 + 1 (12.5 against 14.3 ms), and win at
+# 2^19 + 1 (25.1 against 32.1 ms) and 2^20 + 1 (42.3 against 67.1 ms).
+# Re-measured with the kept pool, in-process (10 alternating pairs of
+# medians of 9 calls), the warm pool wins 9 or 10 of 10 from 2^16 + 1 (1.9
+# against 2.4 ms) through 2^20 + 1 (23.6 against 35.2 ms).  But a process's
+# first pooled call starts the workers and faults in their workspaces: as
+# the only call of a fresh interpreter the pool loses at 2^16 + 1 (7.6
+# against 4.7 ms) and at 2^18 + 1 (16.5 against 13.4 ms).  A one-shot
+# mi-estimate is that case, and no benchmark workload has 2^16 to 2^18 rows
+# to weigh loops against one-shot runs, so the cut is 2^18.
 _MI_POOL_ROWS = 2**18
+
+# The process's worker pool as (width, executor), None until the first pooled
+# call; _pool_lock guards it.  _worker marks the pool's threads.  See
+# _map_ordered.
+_pool: tuple[int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+_worker = threading.local()
 
 
 def _default_threads() -> int:
@@ -122,25 +149,63 @@ def _default_threads() -> int:
 
 
 def _map_ordered(fn, count: int, threads: int) -> list:
-    """Apply fn to 0..count-1 on a pool of threads, collecting in index order.
+    """Apply fn to 0..count-1 on the process's pool, collecting in index order.
 
-    Runs serially, in index order, for one thread or one item.  The pool
-    starts the last item first, so a caller lists its longest item last.
-    Results, and the first exception in index order, come back in index
-    order.  Item 0, collected first, starts last, so an item's own exception
-    surfaces only once every item has started; an exception raised while
-    waiting, such as ``KeyboardInterrupt``, cancels the items that have not
-    started and waits only for the running ones.
+    Runs serially, in index order, for one thread or one item, and on a pool
+    worker: an item that calls ``_map_ordered`` runs the inner items itself,
+    so there is one level of parallelism and the pool never waits on itself.
+    Otherwise the items go to the one pool of the process, which has
+    ``threads`` workers: built on the first such call, kept for later ones,
+    and replaced when a call asks for another width.  ``_pool_lock`` guards
+    building, replacing and submitting, so no item lands on a pool that has
+    been shut down; a replaced pool is shut down without waiting and still
+    runs what it was given.  The pool starts the last item first, so a caller
+    lists its longest item last.  Results, and the first exception in index
+    order, come back in index order.  Item 0, collected first, starts last,
+    so an item's own exception surfaces only once every item has started.
+    An exception raised while waiting, such as ``KeyboardInterrupt``, cancels
+    this call's items that have not started and waits for its running ones;
+    the pool itself stays up for the next call.
     """
-    if threads <= 1 or count <= 1:
+    if threads <= 1 or count <= 1 or getattr(_worker, "active", False):
         return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(min(threads, count)) as pool:
-        try:
-            futures = [pool.submit(fn, i) for i in reversed(range(count))]
-            return [future.result() for future in reversed(futures)]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
+    futures = []
+    try:
+        with _pool_lock:
+            pool = _shared_pool(threads)
+            for i in reversed(range(count)):
+                futures.append(pool.submit(fn, i))
+        return [future.result() for future in reversed(futures)]
+    except BaseException:
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
+
+
+def _shared_pool(threads: int) -> ThreadPoolExecutor:
+    """The process's pool of ``threads`` workers; the caller holds ``_pool_lock``."""
+    global _pool
+    if _pool is None or _pool[0] != threads:
+        if _pool is not None:
+            _pool[1].shutdown(wait=False)
+        _pool = (threads, ThreadPoolExecutor(threads, initializer=_mark_worker))
+    return _pool[1]
+
+
+def _mark_worker() -> None:
+    _worker.active = True
+
+
+def _forget_pool() -> None:
+    """In a forked child: drop the parent's pool, whose workers the child
+    does not have, and make a new lock, as a parent thread may hold the old."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 class EstimatorFailure(EntroboundError):

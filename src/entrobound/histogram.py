@@ -17,7 +17,9 @@ Rows are quantized serially in blocks of ``_BLOCK_ROWS`` by one kernel,
 16*K*``_BLOCK_ROWS`` bytes (less while the thread has only seen smaller
 blocks), kept for the thread's life and released with it.  So a run of
 many binning calls on one thread, as coverage's trials are, touches the
-same pages each time.
+same pages each time.  The worker pool's threads live as long as the
+process (see ``estimators._map_ordered``), and so do their workspaces: at
+most 16*K*2^15 bytes per worker, 1.5 MiB at K = 3.
 The kernel scales each coordinate column into the float buffer, checks the
 unit cube there and takes one certified floor of x*M into the int64
 buffer, which is the bin index except within a few ulps of a bin edge;
@@ -182,7 +184,12 @@ def _quantize_block(block: np.ndarray, start: int, M: int) -> np.ndarray:
     0 <= x <= 1 then 0 <= x*M <= M, and rounding is monotone and keeps 0
     and M.  If x < 0 then x*M <= x < 0, so f <= x < 0.  If x > 1 then
     x >= 1 + 2^-52 and x*M >= M + M*2^-52, which is at least the float
-    after M, so f > M.  NaN fails both compares.
+    after M, so f > M.  NaN fails both compares.  An x near the float
+    maximum overflows f to inf, which fails the check too; so the callers'
+    block loops, ``_bin_keys`` and ``_dense_counts``, ignore the overflow
+    with ``np.errstate``, entered once per histogram on the binning thread
+    (numpy's float state is per thread), and the bad row is reported as one
+    error with no ``RuntimeWarning`` beside it.
 
     Certified floor.  Let i = floor(f) and r = f - i, which is exact
     (Sterbenz), with u = 2^-53 and delta = 4uM.  Elements with
@@ -275,13 +282,14 @@ def _bin_keys(rows, M: int) -> np.ndarray:
     n, k = rows.shape
     packed = M**k < 2**62
     keys = np.empty(n if packed else (n, k), dtype=np.int64)
-    for start, block in _blocks(rows):
-        idx = _quantize_block(block, start, M)
-        key = keys[start:start + len(block)]
-        if packed:
-            _fold_keys(idx, M, out=key)
-        else:
-            key[:] = idx.T
+    with np.errstate(over="ignore"):  # see _quantize_block's cube check
+        for start, block in _blocks(rows):
+            idx = _quantize_block(block, start, M)
+            key = keys[start:start + len(block)]
+            if packed:
+                _fold_keys(idx, M, out=key)
+            else:
+                key[:] = idx.T
     return keys
 
 
@@ -298,13 +306,14 @@ def _dense_counts(rows, M: int) -> tuple[np.ndarray, np.ndarray]:
     """
     size = M**rows.shape[1]
     tally = np.zeros(size, dtype=np.int64)
-    for start, block in _blocks(rows):
-        idx = _quantize_block(block, start, M)
-        keys = _fold_keys(idx, M, out=idx[0])
-        if size <= _BLOCK_ROWS:
-            tally += np.bincount(keys, minlength=size)
-        else:
-            np.add.at(tally, keys, 1)
+    with np.errstate(over="ignore"):  # see _quantize_block's cube check
+        for start, block in _blocks(rows):
+            idx = _quantize_block(block, start, M)
+            keys = _fold_keys(idx, M, out=idx[0])
+            if size <= _BLOCK_ROWS:
+                tally += np.bincount(keys, minlength=size)
+            else:
+                np.add.at(tally, keys, 1)
     occupied = np.flatnonzero(tally)
     return occupied, tally[occupied]
 

@@ -10,6 +10,22 @@ settings.register_profile("entrobound", derandomize=True, deadline=None)
 settings.load_profile("entrobound")
 
 
+def _drop_pool():
+    with estimators._pool_lock:
+        pool, estimators._pool = estimators._pool, None
+    if pool is not None:
+        pool[1].shutdown()
+
+
+@pytest.fixture(autouse=True)
+def fresh_pool():
+    """Each test starts and ends with no worker pool in the process, so a
+    test that replaces ``ThreadPoolExecutor`` sees its own class build it."""
+    _drop_pool()
+    yield
+    _drop_pool()
+
+
 @pytest.fixture
 def executors(monkeypatch):
     """Worker counts of the thread pools started during the test, in order."""

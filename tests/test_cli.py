@@ -60,7 +60,7 @@ class TestBoundCommand:
 
 @pytest.mark.parametrize("command", list(cli._COMMANDS))
 def test_threads_on_no_command(command, capsys):
-    """ENTROBOUND_THREADS alone sizes the worker pools."""
+    """ENTROBOUND_THREADS alone sizes the worker pool."""
     code, _, err = run_cli([command, "--threads", "2"], capsys)
     assert code == 2
     assert len(err.splitlines()) == 1
@@ -1136,6 +1136,17 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert proc.stdout.startswith("total=0.064116")
 
+    def test_pooled_coverage_exits(self, tmp_path):
+        """The process keeps its worker pool; its idle workers do not hold up exit."""
+        proc = subprocess.run(
+            [sys.executable, "-m", "entrobound.cli", "coverage", "--density", "tent", "--k", "1",
+             "--l", "4", "--n", "1000", "--delta", "0.1", "--trials", "4", "--seed", "1",
+             "--out", str(tmp_path / "cov.csv")],
+            capture_output=True, text=True, env={**os.environ, "ENTROBOUND_THREADS": "2"},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 def _f64le_cases(tmp_path):
     """Bad f64le inputs with the one-line error each produced when ingest
@@ -1182,6 +1193,46 @@ def test_f64le_ingest_makes_no_copy(tmp_path):
         tracemalloc.stop()
     assert got.tobytes() == pts.tobytes()
     assert peak < pts.nbytes // 4
+
+
+def _huge_row_cases(tmp_path):
+    """(argv, error line) of inputs whose row 0 holds 1e308: scaling it by M
+    overflows to inf.  The mi-estimate input is above the MI pool's cut, so
+    its x and joint terms bin it on pool workers."""
+    small = np.array([[1e308], [0.5]])
+    big = np.full((2**18 + 1, 2), 0.5)
+    big[0, 0] = 1e308
+    emit_csv(tmp_path / "huge.csv", small)
+    emit_f64le(tmp_path / "huge.f64le", small)
+    emit_f64le(tmp_path / "huge2.f64le", big)
+    line = ("error: invalid: sample 0 lies outside [0, 1]^K: [1e+308]; "
+            "rescale the data first (affine_rescale)\n")
+    return [
+        (["estimate", "--input", str(tmp_path / "huge.csv"), "--k", "1", "--l", "4",
+          "--delta", "0.1"], line),
+        (["estimate", "--input", str(tmp_path / "huge.f64le"), "--format", "f64le", "--k", "1",
+          "--l", "4", "--delta", "0.1"], line),
+        (["mi-estimate", "--input", str(tmp_path / "huge2.f64le"), "--format", "f64le",
+          "--k1", "1", "--k2", "1", "--l", "8", "--delta", "0.1"], line),
+    ]
+
+
+def test_huge_rows_are_one_line_in_process(tmp_path, capsys, monkeypatch):
+    """Under the suite's error::RuntimeWarning filter, an overflow warning
+    would replace the error; without one, each input fails with its one line."""
+    monkeypatch.setenv("ENTROBOUND_THREADS", "2")
+    for argv, line in _huge_row_cases(tmp_path):
+        assert run_cli(argv, capsys) == (2, "", line)
+
+
+def test_huge_rows_are_one_line_in_a_child(tmp_path):
+    """With no warning filter, numpy's overflow warning would be a second line."""
+    env = {**os.environ, "ENTROBOUND_THREADS": "2"}
+    env.pop("PYTHONWARNINGS", None)
+    for argv, line in _huge_row_cases(tmp_path):
+        proc = subprocess.run([sys.executable, "-m", "entrobound.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", line)
 
 
 _PLANTED = [math.nan, -math.nan, math.inf, -math.inf, -0.5, 1.5, -0.0, 1.0]

@@ -1,8 +1,12 @@
 """Certified estimators, their coverage, and the adversarial demos."""
 import dataclasses
 import math
+import os
 import re
+import subprocess
 import sys
+import textwrap
+import threading
 import warnings
 
 import numpy as np
@@ -245,17 +249,37 @@ class TestThreadCountInvariance:
         assert len(bits) == 1
 
 
+def _term_threads(monkeypatch):
+    """Spies on the MI terms: the idents of the threads that ran them, in call order."""
+    idents = []
+    certified = estimators.estimate_entropy_certified
+
+    def spy(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return certified(*args, **kwargs)
+
+    monkeypatch.setattr(estimators, "estimate_entropy_certified", spy)
+    return idents
+
+
 class TestTermPool:
     @pytest.mark.parametrize("N, threads, made", [
         (2**16 + 1, "1", []), (2**16 + 1, "2", [2]), (2**16 + 1, "3", [3]),
-        (2**16 + 1, "8", [3]), (2**16, "3", []),
+        (2**16 + 1, "8", [8]), (2**16, "3", []),
     ])
     def test_one_pool_of_at_most_three_above_one_block(self, N, threads, made, executors,
                                                        pool_cut_2_16, monkeypatch):
+        """The pool is as wide as ENTROBOUND_THREADS, and at most three of its
+        workers run the three terms."""
         monkeypatch.setenv("ENTROBOUND_THREADS", threads)
+        idents = _term_threads(monkeypatch)
         pts = generator(90).random((N, 2))
+        before = threading.active_count()
         estimate_mi_certified(pts, 1, 8.0, 0.1)
         assert executors == made
+        assert threading.active_count() - before <= 3
+        assert len(idents) == 3
+        assert (set(idents) == {threading.get_ident()}) == (made == [])
 
     @pytest.mark.parametrize("N, made", [(2**18 + 1, [3]), (2**18, [])])
     def test_pool_above_2_18_rows(self, N, made, executors, monkeypatch):
@@ -296,6 +320,91 @@ class TestTermPool:
             messages.add(str(exc.value))
         assert len(messages) == 1
         assert expected in messages.pop()
+
+
+class TestKeptPool:
+    """One pool per process: pooled calls share its warm workers."""
+
+    def test_repeated_estimates_share_two_workers(self, executors, monkeypatch):
+        monkeypatch.setenv("ENTROBOUND_THREADS", "2")
+        idents = _term_threads(monkeypatch)
+        pts = generator(93).random((2**18 + 1, 2))
+        bits = {_report_bits(estimate_mi_certified(pts, 1, 8.0, 0.1)) for _ in range(5)}
+        assert len(bits) == 1
+        assert executors == [2]
+        assert len(idents) == 15
+        assert len(set(idents)) <= 2 and threading.get_ident() not in idents
+
+    def test_changed_thread_count_takes_effect_on_the_next_call(self, executors,
+                                                                monkeypatch):
+        """At three threads, the three terms meet at a barrier: they run at once."""
+        pts = generator(94).random((2**18 + 1, 2))
+        monkeypatch.setenv("ENTROBOUND_THREADS", "2")
+        two = _report_bits(estimate_mi_certified(pts, 1, 8.0, 0.1))
+        certified = estimators.estimate_entropy_certified
+        barrier = threading.Barrier(3, timeout=60)
+
+        def meet(*args, **kwargs):
+            barrier.wait()
+            return certified(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "estimate_entropy_certified", meet)
+        monkeypatch.setenv("ENTROBOUND_THREADS", "3")
+        assert _report_bits(estimate_mi_certified(pts, 1, 8.0, 0.1)) == two
+        assert executors == [2, 3]
+
+    def test_failed_call_leaves_the_pool_up(self, executors):
+        """A call that raises cancels only its own items; the next call
+        runs on the same pool."""
+        def fail_on_one(i):
+            if i == 1:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            estimators._map_ordered(fail_on_one, 3, 2)
+        assert estimators._map_ordered(lambda i: -i, 3, 2) == [0, -1, -2]
+        assert executors == [2]
+
+    def test_nested_call_runs_serially_on_its_worker(self):
+        def inner(i):
+            return i, threading.get_ident()
+
+        def outer(i):
+            return threading.get_ident(), estimators._map_ordered(inner, 4, 2)
+
+        got = []
+        caller = threading.Thread(
+            target=lambda: got.extend(estimators._map_ordered(outer, 2, 2)), daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(got) == 2
+        for worker, results in got:
+            assert results == [(i, worker) for i in range(4)]
+            assert worker != caller.ident
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_builds_its_own_pool(self):
+        script = textwrap.dedent("""
+            import os, signal
+            import numpy as np
+            from entrobound import estimate_mi_certified
+            pts = np.random.default_rng(95).random((2**18 + 1, 2))
+            parent = estimate_mi_certified(pts, 1, 8.0, 0.1)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(30)  # a hung child dies, and is not left behind
+                child = estimate_mi_certified(pts, 1, 8.0, 0.1)
+                os._exit(0 if child == parent else 3)
+            _, status = os.waitpid(pid, 0)
+            raise SystemExit(os.waitstatus_to_exitcode(status))
+        """)
+        env = {**os.environ, "ENTROBOUND_THREADS": "2",
+               "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestPinnedEntropyEstimator:
