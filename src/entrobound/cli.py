@@ -575,6 +575,9 @@ def _validate_config(config: argparse.Namespace) -> None:
     """Reject parameter values the modules would reject, before any work."""
     if config.command not in _COMMANDS:
         raise ValueError(f"unknown command {config.command!r}")
+    for name in ("out", "input"):
+        if getattr(config, name) == "":  # neither "no file" nor the directory "."
+            raise ValueError(f"--{name} needs a file path")
     if config.delta is not None and not (0.0 < config.delta < 1.0):
         raise ValueError(f"delta must lie in (0, 1), got {config.delta!r}")
     if config.l is not None and not (config.l > 0.0):

@@ -102,24 +102,16 @@ _LN2 = math.log(2.0)
 # Default pool size cap, when ENTROBOUND_THREADS is unset.
 _MAX_DEFAULT_THREADS = 32
 
-# The three MI terms run on the pool only on more than this many rows.  Two
-# measurements on tent rows (K = 3, k1 = 1; 2 threads against serial, 10
-# alternating runs, 2-vCPU hosts, numpy 2.4), with a new pool per call, put
-# break-even near 2^18: one (median of 15 calls) had the pool lose at 2^16
-# (4.0-4.5 against 3.6-3.8 ms) and 2^17 (7.0 against 6.5 ms), win 3 of 10 at
-# 2^18 (12.4-13.4 against 11.3-13.2 ms) and win at 2^19 (21.7 against
-# 23.0-29.3 ms) and 2^20 (43 against 59 ms); the other (median of 9 calls)
-# had it lose at 2^16 + 1 (6.6 against 4.0 ms) and 2^17 + 1 (10.6 against
-# 7.1 ms), win 8 of 10 at 2^18 + 1 (12.5 against 14.3 ms), and win at
-# 2^19 + 1 (25.1 against 32.1 ms) and 2^20 + 1 (42.3 against 67.1 ms).
-# Re-measured with the kept pool, in-process (10 alternating pairs of
-# medians of 9 calls), the warm pool wins 9 or 10 of 10 from 2^16 + 1 (1.9
-# against 2.4 ms) through 2^20 + 1 (23.6 against 35.2 ms).  But a process's
-# first pooled call starts the workers and faults in their workspaces: as
-# the only call of a fresh interpreter the pool loses at 2^16 + 1 (7.6
-# against 4.7 ms) and at 2^18 + 1 (16.5 against 13.4 ms).  A one-shot
-# mi-estimate is that case, and no benchmark workload has 2^16 to 2^18 rows
-# to weigh loops against one-shot runs, so the cut is 2^18.
+# The three MI terms run on the pool only on more than this many rows.
+# Measured on tent rows (K = 3, k1 = 1; 2 threads against serial, 2-vCPU
+# hosts, numpy 2.4) in-process, 10 alternating pairs of medians of 9 calls:
+# the kept, warm pool wins 9 or 10 of 10 from 2^16 + 1 (1.9 against 2.4 ms)
+# through 2^20 + 1 (23.6 against 35.2 ms).  But a process's first pooled
+# call starts the workers and faults in their workspaces: as the only call
+# of a fresh interpreter the pool loses at 2^16 + 1 (7.6 against 4.7 ms)
+# and at 2^18 + 1 (16.5 against 13.4 ms).  A one-shot mi-estimate is that
+# case, and no benchmark workload has 2^16 to 2^18 rows to weigh loops
+# against one-shot runs, so the cut is 2^18.
 _MI_POOL_ROWS = 2**18
 
 # The process's worker pool as (width, executor), None until the first pooled

@@ -30,20 +30,27 @@ only a block with a coordinate there goes through the exact edge fix-up
 a ``shape`` of (N, K) and a ``blocks(rows)`` method that yields (start,
 block) for consecutive (b, K) float64 blocks, b <= rows, each valid until
 the next is drawn.  ``densities.LazySample`` is one; binning it draws the
-sample as it goes, so the sample is never held whole.  Both feed one
-block-counting loop, ``_dense_counts``, on a small grid
-(M^K <= ``_BLOCK_ROWS``): each block's keys go into one dense tally, and no
-N-row array is formed.  A stream on a grid of up to 4N bins takes that loop
-too, adding each block's keys into the tally in place (``np.add.at``), so
-besides the 8*M^K-byte tally it forms only the histogram's own arrays.  Other
-grids go through ``_bin_keys``, which folds each block's K index rows into
-row-major int64 keys while M^K < 2^62, and ``_tally``, which counts the
-keys with a dense ``bincount`` only when M^K <= 4N, otherwise by sorting
-them, so memory stays O(N); an array keeps this path up to 4N bins, where
-its N keys already exist and one ``bincount`` over them is the cheaper
-count.  ``_bin_ranks`` gives each row the rank of its bin among
-the occupied ones, for ``estimators.discrete_mi_plugin``.  Only these read
-the key layout.
+sample as it goes, so the sample is never held whole.  It counts by one
+table, the first row that matches:
+
+    grid M^K                input   count
+    <= ``_BLOCK_ROWS``      either  each block's folded keys, by one
+    (2^15)                          ``bincount`` into one dense tally
+    <= 4N                   stream  each block's keys, added into the
+                                    tally in place (``np.add.at``)
+    <= 4N                   array   the N keys of ``_bin_keys``, by one
+                                    ``bincount``
+    above 4N                either  the N keys, or from M^K >= 2^62 the
+                                    N index rows, sorted by ``np.unique``
+
+So a stream up to 4N bins forms no N-row array: besides the 8*M^K-byte
+tally it forms only the histogram's own arrays.  An array above 2^15 bins
+already holds its N rows, and one ``bincount`` over its N keys is the
+cheaper count.  Above 4N sorting keeps memory O(N).  ``_bin_keys`` folds
+each block's K index rows into row-major int64 keys while M^K < 2^62, and
+gives the index rows from there on.  ``_bin_ranks`` gives each row the
+rank of its bin among the occupied ones, for
+``estimators.discrete_mi_plugin``.  Only these read the key layout.
 
 A histogram is two arrays in row-major bin order: ``keys``, its occupied
 bins (at most N), and ``counts``, their counts.  The plug-in estimate reads
@@ -185,8 +192,8 @@ def _quantize_block(block: np.ndarray, start: int, M: int) -> np.ndarray:
     and M.  If x < 0 then x*M <= x < 0, so f <= x < 0.  If x > 1 then
     x >= 1 + 2^-52 and x*M >= M + M*2^-52, which is at least the float
     after M, so f > M.  NaN fails both compares.  An x near the float
-    maximum overflows f to inf, which fails the check too; so the callers'
-    block loops, ``_bin_keys`` and ``_dense_counts``, ignore the overflow
+    maximum overflows f to inf, which fails the check too; so the block
+    loops of ``_bin_keys`` and ``build_histogram`` ignore the overflow
     with ``np.errstate``, entered once per histogram on the binning thread
     (numpy's float state is per thread), and the bad row is reported as one
     error with no ``RuntimeWarning`` beside it.
@@ -293,52 +300,11 @@ def _bin_keys(rows, M: int) -> np.ndarray:
     return keys
 
 
-def _dense_counts(rows, M: int) -> tuple[np.ndarray, np.ndarray]:
-    """Occupied keys and counts of the rows (an array or a row stream) on one
-    dense tally of all M^K bins.
-
-    Each block's keys are folded in place in the workspace and counted at
-    once: by one ``bincount`` on a grid of at most ``_BLOCK_ROWS`` bins, and
-    above it by ``np.add.at`` straight into the tally, which costs about
-    what one ``bincount`` over all N keys does per key but forms no second
-    M^K-bin array.  So no N-row array is formed.  Same result as
-    ``_tally(_bin_keys(rows, M), M, K)``.
-    """
-    size = M**rows.shape[1]
-    tally = np.zeros(size, dtype=np.int64)
-    with np.errstate(over="ignore"):  # see _quantize_block's cube check
-        for start, block in _blocks(rows):
-            idx = _quantize_block(block, start, M)
-            keys = _fold_keys(idx, M, out=idx[0])
-            if size <= _BLOCK_ROWS:
-                tally += np.bincount(keys, minlength=size)
-            else:
-                np.add.at(tally, keys, 1)
-    occupied = np.flatnonzero(tally)
-    return occupied, tally[occupied]
-
-
-def _tally(keys: np.ndarray, M: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """The occupied keys of ``_bin_keys`` in row-major order, and their counts.
-
-    Flat keys are counted with a dense ``bincount`` only when the grid is
-    small (M^K <= 4n), otherwise by sorting them, so memory stays O(n);
-    index rows are sorted as rows.
-    """
-    if keys.ndim == 2:
-        return np.unique(keys, axis=0, return_counts=True)
-    if M**K <= 4 * keys.size:
-        tally = np.bincount(keys, minlength=M**K)
-        occupied = np.flatnonzero(tally)
-        return occupied, tally[occupied]
-    return np.unique(keys, return_counts=True)
-
-
 def _bin_ranks(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's rank among the occupied bins of (n, K) points, and their counts.
 
-    Ranks and counts follow row-major bin order, as in ``_tally``; M must
-    pass ``_bin_count``.
+    Ranks and counts follow row-major bin order, as in ``build_histogram``;
+    M must pass ``_bin_count``.
     """
     keys = _bin_keys(points, M)
     _, rank, counts = np.unique(keys, axis=0 if keys.ndim == 2 else None,
@@ -349,18 +315,35 @@ def _bin_ranks(points: np.ndarray, M: int) -> tuple[np.ndarray, np.ndarray]:
 def build_histogram(samples, M: int) -> SparseHistogram:
     """Bin counts of the samples in row-major bin order; independent of sample order.
 
-    ``samples`` is an (N, K) array or a row stream (see the module notes).
+    ``samples`` is an (N, K) array or a row stream; the module notes give
+    the counting table that the branches below follow.
     """
     M = _bin_count(M)
     rows = _rows(samples)
     n, k = rows.shape
     if n == 0:
         raise ValueError("cannot build a histogram from zero samples")
-    if M**k <= _BLOCK_ROWS or (not isinstance(rows, np.ndarray) and M**k <= 4 * n):
-        keys, counts = _dense_counts(rows, M)
-    else:
-        keys, counts = _tally(_bin_keys(rows, M), M, k)
-    return SparseHistogram(K=k, M=M, N=n, keys=keys, counts=counts)
+    size = M**k
+    small, dense = size <= _BLOCK_ROWS, size <= 4 * n
+    if small or (dense and not isinstance(rows, np.ndarray)):
+        tally = np.zeros(size, dtype=np.int64)
+        with np.errstate(over="ignore"):  # see _quantize_block's cube check
+            for start, block in _blocks(rows):
+                idx = _quantize_block(block, start, M)
+                keys = _fold_keys(idx, M, out=idx[0])
+                if small:
+                    tally += np.bincount(keys, minlength=size)
+                else:
+                    np.add.at(tally, keys, 1)
+    elif dense:
+        tally = np.bincount(_bin_keys(rows, M), minlength=size)
+    else:  # index rows (M^K >= 2^62) are always above 4N
+        keys = _bin_keys(rows, M)
+        keys, counts = np.unique(keys, axis=0 if keys.ndim == 2 else None,
+                                 return_counts=True)
+        return SparseHistogram(K=k, M=M, N=n, keys=keys, counts=counts)
+    occupied = np.flatnonzero(tally)
+    return SparseHistogram(K=k, M=M, N=n, keys=occupied, counts=tally[occupied])
 
 
 def _count_entropy(counts: np.ndarray, n: int) -> float:

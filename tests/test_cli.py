@@ -234,6 +234,20 @@ def test_n_and_input_refused_together(argv, in_config, tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "exp.cfg"]
 
 
+@pytest.mark.parametrize("in_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("option, argv", [
+    ("out", ["estimate", "--density", "tent", "--k", "1", "--l", "4", "--n", "1000"]),
+    ("input", ["estimate", "--k", "1", "--l", "4"]),
+], ids=["out", "input"])
+def test_empty_path_refused(option, argv, in_config, tmp_path, capsys):
+    """An empty --out or --input names no file: not "no output", nor the directory "."."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"{option} =\n")
+    extra = ["--config", str(cfg)] if in_config else [f"--{option}="]
+    code, stdout, err = run_cli(argv + ["--delta", "0.1"] + extra, capsys)
+    assert (code, stdout, err) == (2, "", f"error: invalid: --{option} needs a file path\n")
+
+
 @pytest.mark.parametrize(
     "command, extra", [("estimate", []), ("coverage", ["--trials", "2"])]
 )

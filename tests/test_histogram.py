@@ -608,7 +608,10 @@ def _kernel_points(M, K, rng):
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("M", _KERNEL_BIN_COUNTS)
 def test_block_kernel_matches_integer_reference(M, K):
-    """The kernel on one column, _bin_keys and the small-grid counts in every memory layout."""
+    """The kernel on one column, _bin_keys and the histogram in every memory layout.
+
+    The histogram counts M^K <= B block by block; larger grids sort the flat
+    keys, and M = 2^50 and 2^53 at K = 2 sort the index rows."""
     points, wide = _kernel_points(M, K, generator(4500 + K))
     layouts = {
         "C order": points,
@@ -623,11 +626,11 @@ def test_block_kernel_matches_integer_reference(M, K):
             expected = np.ravel_multi_index(tuple(expected.T), (M,) * K)
         keys = histogram._bin_keys(pts, M)
         assert keys.dtype == np.int64 and np.array_equal(keys, expected), layout
-        if M**K <= _B:
-            occupied, counts = histogram._dense_counts(pts, M)
-            ref_occupied, ref_counts = np.unique(expected, return_counts=True)
-            assert np.array_equal(occupied, ref_occupied), layout
-            assert np.array_equal(counts, ref_counts), layout
+        hist = build_histogram(pts, M)
+        ref_keys, ref_counts = np.unique(expected, axis=0 if expected.ndim == 2 else None,
+                                         return_counts=True)
+        assert np.array_equal(hist.keys, ref_keys), layout
+        assert np.array_equal(hist.counts, ref_counts), layout
 
 
 _BAD_VALUES = [
@@ -645,16 +648,14 @@ def test_out_of_cube_named_in_a_later_block(M, value, shown):
     """The scaled cube check rejects what the unscaled one did, with its message.
 
     The bad row sits in the third block; a later row is bad in an earlier
-    column.  M = 3 counts the small grid, 7644 and 2^53 go through _bin_keys.
+    column.  The histogram counts M = 3 block by block; 7644 and 2^53 go
+    through _bin_keys.
     """
     points = generator(4510).random((2 * _B + 20, 2))
     points[2 * _B + 9] = [0.5, value]
     points[2 * _B + 15] = [value, 0.5]
     message = _cube_message(2 * _B + 9, f"[0.5, {shown}]")
-    calls = [build_histogram, histogram._bin_keys]
-    if M**2 <= _B:
-        calls.append(histogram._dense_counts)
-    for call in calls:
+    for call in (build_histogram, histogram._bin_keys):
         for layout in (points, np.asfortranarray(points)):
             with pytest.raises(OutOfSupportError) as exc:
                 call(layout, M)
@@ -664,18 +665,24 @@ def test_out_of_cube_named_in_a_later_block(M, value, shown):
 @pytest.mark.parametrize("N", [_B - 1, _B, _B + 1, 3 * _B + 5])
 @pytest.mark.parametrize("K, M", [(1, _B), (3, 32), (1, _B + 1)])
 def test_counting_paths_agree_at_the_block_size(K, M, N, monkeypatch):
-    """M^K = B counts the small grid block by block, M^K = B + 1 goes through
-    _bin_keys and _tally; either way the histogram is the same."""
+    """One grid counted on both sides of the block-size cut: with blocks of
+    M^K rows block by block, with blocks of M^K - 1 rows through the N keys
+    of _bin_keys.  Either way the histogram is the same, and at the default
+    block size M^K = B counts block by block and M^K = B + 1 by keys."""
     rng = generator(4520 + K + N % 7)
     points = rng.choice(_edge_pool(M, rng), size=(N, K))
-    dense = histogram.SparseHistogram(K, M, N, *histogram._dense_counts(points, M))
-    keyed = histogram.SparseHistogram(K, M, N, *histogram._tally(histogram._bin_keys(points, M), M, K))
-    assert dense == keyed
+    assert M**K <= 4 * N  # the keys are counted by bincount, not sorted
     bin_keys = histogram._bin_keys
     calls = []
     monkeypatch.setattr(histogram, "_bin_keys", lambda *a: calls.append(1) or bin_keys(*a))
-    assert build_histogram(points, M) == dense
-    assert bool(calls) == (M**K > _B)
+    counted = {}
+    for block_rows in (M**K, M**K - 1):  # one of them is B
+        monkeypatch.setattr(histogram, "_BLOCK_ROWS", block_rows)
+        calls.clear()
+        counted[block_rows] = build_histogram(points, M)
+        assert bool(calls) == (block_rows < M**K), block_rows
+    dense, keyed = counted[M**K], counted[M**K - 1]
+    assert dense == keyed
     bins, counts = np.unique(_reference_bin_indices(points, M), axis=0, return_counts=True)
     assert np.array_equal(_bins(dense), bins) and np.array_equal(dense.counts, counts)
 
